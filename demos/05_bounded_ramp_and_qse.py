@@ -47,8 +47,8 @@ b = report.brackets[0]
 print(f"critical rate in [{b.lower:.5f}, {b.upper:.5f}] "
       f"(classification: {b.classification})")
 
-# A rate sweep summarizes the transition; TIPLAB_THREADS or the threads
-# argument parallelizes it without changing a single output bit.
+# A rate sweep summarizes the transition.  All its rates run as one batch;
+# the threads argument (or TIPLAB_THREADS) changes no output bit.
 rows = tl.sweep(model, np.linspace(0.05, 0.4, 8), threads=4,
                 window=(-5.0, 5.0))
 for row in rows:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
 
 from .integrate import (
     COMPLETED,
-    ESCAPED,
+    Batch,
     IntegratorConfig,
     Trajectory,
     VectorFieldHandle,
@@ -28,10 +28,13 @@ from .models import ModelSpec, TiplabError
 
 __all__ = [
     "PullbackEstimate",
+    "PullbackJob",
     "QseSample",
     "QseBranch",
     "Diagnostic",
     "estimate_pullback",
+    "run_pullbacks",
+    "integrator_config",
     "forward_attraction_test",
     "endpoint_tracking_test",
     "qse_continuation",
@@ -47,8 +50,14 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-def default_config(model: ModelSpec) -> IntegratorConfig:
-    return IntegratorConfig(escape_norm=model.escape_norm)
+def integrator_config(model: ModelSpec, overrides: Mapping | None = None) -> IntegratorConfig:
+    """Integrator settings for a model: the defaults with the model's escape
+    norm, then any of the config fields given in ``overrides``."""
+    kw = {"escape_norm": model.escape_norm}
+    for key in ("abs_tol", "rel_tol", "max_step", "min_step", "escape_norm"):
+        if overrides and key in overrides:
+            kw[key] = float(overrides[key])
+    return IntegratorConfig(**kw)
 
 
 @dataclass
@@ -82,6 +91,193 @@ class Diagnostic:
     evidence: dict
 
 
+class PullbackJob:
+    """One (rate, anchor) pullback estimate, built from lookback doublings.
+
+    Doubling k starts at lookback ``delta * 2**k`` and integrates an
+    approach leg to the window start, then the window leg.  Each doubling's
+    outcome (its window-leg trajectory, or None when either leg escaped) is
+    kept once integrated, so ``relax`` to a looser tolerance or a longer
+    lookback reuses it: ``resolve`` replays the sequential doubling loop
+    over the kept outcomes, and the tolerance enters only its convergence
+    test.
+    """
+
+    def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
+                 tol: float, delta: float = 1.0, budget: int = 40,
+                 max_lookback: float = 4096.0, grid_points: int = 201):
+        self.model = model
+        self.anchor = anchor
+        self.sense = sense
+        self.window = window
+        self.tol = tol
+        self.delta = delta
+        self.budget = budget
+        self.max_lookback = max_lookback
+        t_a, t_b = window
+        self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
+        self.grid = np.linspace(self.wa, self.wb, grid_points)
+        self.outcomes: dict[int, Trajectory | None] = {}
+        self._curves: dict[int, np.ndarray] = {}
+        self.estimate: PullbackEstimate | None = None
+
+    def doublings(self) -> list[int]:
+        ks = []
+        for k in range(self.budget):
+            if self.delta * 2.0**k > self.max_lookback:
+                break
+            ks.append(k)
+        return ks
+
+    def pending(self) -> list[int]:
+        return [k for k in self.doublings() if k not in self.outcomes]
+
+    def start_state(self, k: int) -> tuple[float, np.ndarray]:
+        """Start time (in integration time) and state of doubling k."""
+        s_k = self.wa - self.delta * 2.0**k
+        t_model = s_k if self.sense == "attracting" else -s_k
+        return s_k, self.model.anchor_state(self.anchor, t_model)
+
+    def record(self, k: int, traj: Trajectory | None) -> None:
+        self.outcomes[k] = traj
+        if traj is not None:
+            self._curves[k] = traj.eval(self.grid)
+
+    def relax(self, tol: float, max_lookback: float) -> None:
+        self.tol, self.max_lookback = tol, max_lookback
+        self.estimate = None
+
+    def resolve(self) -> bool:
+        """Set ``estimate`` once the kept outcomes decide it; else False."""
+        start_times: list[float] = []
+        gaps: list[float] = []
+        status = NOT_CONVERGED
+        prev = None
+        last: Trajectory | None = None
+        for k in self.doublings():
+            s_k = self.wa - self.delta * 2.0**k
+            start_times.append(s_k if self.sense == "attracting" else -s_k)
+            if k not in self.outcomes:
+                return False
+            traj = self.outcomes[k]
+            if traj is None:
+                status = ESCAPED_DURING_PULLBACK
+                last = None
+                break
+            curve = self._curves[k]
+            last = traj
+            if prev is not None:
+                gaps.append(float(np.max(np.abs(curve - prev))))
+                tol_eff = self.tol * max(1.0, float(np.max(np.abs(curve))))
+                if (
+                    len(gaps) >= 2
+                    and gaps[-1] < tol_eff
+                    and gaps[-2] < tol_eff
+                    and gaps[-1] <= gaps[-2]
+                ):
+                    status = CONVERGED
+                    prev = curve
+                    break
+            prev = curve
+
+        dim = self.model.dimension
+        if self.sense == "attracting":
+            times = self.grid
+            states = prev if prev is not None else np.empty((0, dim))
+            evaluator = (lambda t, tr=last: tr.eval(t)) if last is not None else None
+        else:
+            times = -self.grid[::-1]
+            states = prev[::-1] if prev is not None else np.empty((0, dim))
+            evaluator = (
+                (lambda t, tr=last: tr.eval(-np.asarray(t))) if last is not None else None
+            )
+        note = f"{self.model.anchor_mode} anchor {self.anchor.tolist()} ({self.sense} sense)"
+        self.estimate = PullbackEstimate(
+            window=tuple(self.window),
+            times=np.asarray(times),
+            states=np.asarray(states),
+            anchor=self.anchor,
+            anchor_note=note,
+            start_times=start_times,
+            convergence_gaps=gaps,
+            status=status,
+            sense=self.sense,
+            _evaluator=evaluator if status == CONVERGED else None,
+        )
+        return True
+
+
+def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
+    """Resolve pullback jobs, integrating their missing doublings as one batch.
+
+    Every (job, doubling) pair is one member of a single Dormand–Prince
+    batch.  A member runs its approach leg with the step cap raised to at
+    least 1 (its error is contracted away by the attracting dynamics), then
+    restarts on the window leg with a fresh initial step.  Each job resolves
+    in doubling order and drops its remaining members once it converges or
+    escapes.  All jobs must share one model family, sense and ``cfg``.
+    """
+    jobs = [job for job in jobs if not job.resolve()]
+    if not jobs:
+        return
+    model, sense = jobs[0].model, jobs[0].sense
+    family = lambda m: (m.name, {k: v for k, v in m.params.items() if k != "r"})
+    if any(job.sense != sense or family(job.model) != family(model) for job in jobs):
+        raise ValueError("a pullback batch needs one model family and one sense")
+    rhs = model.rhs
+    if sense == "repelling":
+        rhs = lambda X, T, R, f=model.rhs: -f(X, -T, R)
+    members = [(job, k) for job in jobs for k in job.pending()]
+    ids_of = {}
+    for i, (job, _) in enumerate(members):
+        ids_of.setdefault(id(job), []).append(i)
+    starts = [job.start_state(k) for job, k in members]
+    rates = np.array([job.model.rate for job, _ in members])
+    batch = Batch(rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
+                  cfg.escape_norm, cfg.min_step)
+    stopped = batch.start(
+        np.arange(len(members)),
+        np.array([x for _, x in starts]),
+        [s for s, _ in starts],
+        [job.wa for job, _ in members],
+        rates,
+        max_step=max(cfg.max_step, 1.0),
+    )
+    windowed = np.zeros(len(members), dtype=bool)
+    while stopped or batch.n_active:
+        restart = []
+        for i in stopped:
+            job, k = members[i]
+            if job.estimate is not None:
+                continue
+            status = batch.final[i][0]
+            if not windowed[i] and status == COMPLETED:
+                restart.append(i)
+                continue
+            job.record(k, batch.trajectory(i) if status == COMPLETED else None)
+            if job.resolve():
+                batch.drop(ids_of[id(job)])
+        restart = [i for i in restart if members[i][0].estimate is None]
+        stopped = []
+        if restart:
+            windowed[restart] = True
+            stopped = batch.start(
+                restart,
+                np.array([batch.final[i][2] for i in restart]),
+                [members[i][0].wa for i in restart],
+                [members[i][0].wb for i in restart],
+                rates[restart],
+                max_step=cfg.max_step,
+                record=True,
+            )
+        if not stopped and batch.n_active:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                stopped = batch.advance()
+    for job in jobs:
+        if not job.resolve():
+            raise RuntimeError("pullback batch ended with an unresolved job")
+
+
 def estimate_pullback(
     model: ModelSpec,
     r: float | None = None,
@@ -99,13 +295,14 @@ def estimate_pullback(
 
     Start times recede as s_k = t_a - delta*2^k until two successive
     window-restricted curves agree to ``tol`` in sup norm (scaled by the
-    curve magnitude when it exceeds unity).
+    curve magnitude when it exceeds unity).  The doublings are integrated
+    together as members of one batch.
     """
     if r is not None:
         model = model.with_rate(r)
     if sense not in ("attracting", "repelling"):
         raise ValueError("sense must be 'attracting' or 'repelling'")
-    cfg = cfg or default_config(model)
+    cfg = cfg or integrator_config(model)
     t_a, t_b = float(window[0]), float(window[1])
     if not t_b > t_a:
         raise ValueError("window must have positive width")
@@ -116,89 +313,10 @@ def estimate_pullback(
             raise TiplabError(f"model {model.name!r} has no default {sense} anchor")
         anchor = pool[0]
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
-
-    if sense == "attracting":
-        fld = model.field
-        wa, wb = t_a, t_b
-        anchor_state = lambda s: model.anchor_state(anchor, s)
-    else:
-        base = model.field
-        fld = VectorFieldHandle(model.dimension, lambda x, t, p: -base(x, -t))
-        wa, wb = -t_b, -t_a
-        anchor_state = lambda s: model.anchor_state(anchor, -s)
-
-    # The approach leg only ferries the state to the window start, and any
-    # error it makes is contracted away by the attracting dynamics, so it
-    # can run with a larger step cap than the observation window.
-    from dataclasses import replace as _dc_replace
-
-    past_cfg = _dc_replace(cfg, max_step=max(cfg.max_step, 1.0))
-
-    grid = np.linspace(wa, wb, grid_points)
-    start_times: list[float] = []
-    gaps: list[float] = []
-    status = NOT_CONVERGED
-    prev = None
-    last_traj: Trajectory | None = None
-
-    for k in range(budget):
-        lookback = delta * 2.0**k
-        if lookback > max_lookback:
-            break
-        s_k = wa - lookback
-        start_times.append(s_k if sense == "attracting" else -s_k)
-        past = integrate(fld, anchor_state(s_k), s_k, wa, past_cfg, dense=False)
-        if past.status != COMPLETED:
-            status = ESCAPED_DURING_PULLBACK
-            last_traj = None
-            break
-        traj = integrate(fld, past.final_state, wa, wb, cfg, dense=True)
-        if traj.status != COMPLETED:
-            status = ESCAPED_DURING_PULLBACK
-            last_traj = None
-            break
-        curve = traj.eval(grid)
-        last_traj = traj
-        if prev is not None:
-            gaps.append(float(np.max(np.abs(curve - prev))))
-            tol_eff = tol * max(1.0, float(np.max(np.abs(curve))))
-            if (
-                len(gaps) >= 2
-                and gaps[-1] < tol_eff
-                and gaps[-2] < tol_eff
-                and gaps[-1] <= gaps[-2]
-            ):
-                status = CONVERGED
-                prev = curve
-                break
-        prev = curve
-
-    if sense == "attracting":
-        times = grid
-        states = prev if prev is not None else np.empty((0, model.dimension))
-        traj_ref = last_traj
-        evaluator = (lambda t, tr=traj_ref: tr.eval(t)) if traj_ref is not None else None
-    else:
-        times = -grid[::-1]
-        states = prev[::-1] if prev is not None else np.empty((0, model.dimension))
-        traj_ref = last_traj
-        evaluator = (
-            (lambda t, tr=traj_ref: tr.eval(-np.asarray(t))) if traj_ref is not None else None
-        )
-
-    note = f"{model.anchor_mode} anchor {anchor.tolist()} ({sense} sense)"
-    return PullbackEstimate(
-        window=(t_a, t_b),
-        times=np.asarray(times),
-        states=np.asarray(states),
-        anchor=anchor,
-        anchor_note=note,
-        start_times=start_times,
-        convergence_gaps=gaps,
-        status=status,
-        sense=sense,
-        _evaluator=evaluator if status == CONVERGED else None,
-    )
+    job = PullbackJob(model, anchor, sense, (t_a, t_b), tol, delta, budget,
+                      max_lookback, grid_points)
+    run_pullbacks([job], cfg)
+    return job.estimate
 
 
 def _as_curve(candidate, t0: float | None):
@@ -242,7 +360,7 @@ def forward_attraction_test(
         model = model.with_rate(r)
     if candidate is None:
         raise ValueError("candidate curve required")
-    cfg = cfg or default_config(model)
+    cfg = cfg or integrator_config(model)
     curve, start, end = _as_curve(candidate, t0)
     t1 = start + horizon
     if t1 > end + 1e-12:
@@ -570,7 +688,7 @@ def comoving_consistency_check(
         from .models import NoComovingFrame
 
         raise NoComovingFrame(f"model {model.name!r} has no co-moving descriptor")
-    cfg = cfg or default_config(model)
+    cfg = cfg or integrator_config(model)
     rng = np.random.default_rng(seed)
 
     # (a) algebraic identity at randomized (x, t)

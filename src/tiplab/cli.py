@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, models, tipping
-from .integrate import IntegratorConfig, integrate
+from .integrate import integrate
 from .models import ModelSpec, TiplabError, make_model
 
 __all__ = ["main"]
@@ -120,15 +120,6 @@ def _output_target(args, config: dict):
     return out, fmt
 
 
-def _integrator_config(model: ModelSpec, config: dict) -> IntegratorConfig:
-    opts = config.get("analysis", {}).get("integrator", {})
-    kw = {"escape_norm": model.escape_norm}
-    for key in ("abs_tol", "rel_tol", "max_step", "min_step", "escape_norm"):
-        if key in opts:
-            kw[key] = float(opts[key])
-    return IntegratorConfig(**kw)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -145,7 +136,8 @@ def _cmd_simulate(args, config) -> int:
         x0 = np.array(_parse_floats(x0_raw, model.dimension))
     else:
         x0 = np.atleast_1d(np.asarray(x0_raw, dtype=float))
-    cfg = _integrator_config(model, config)
+    cfg = analysis.integrator_config(
+        model, config.get("analysis", {}).get("integrator"))
 
     if t1 == t0:
         # zero-length time range: report an empty sample section
@@ -187,7 +179,8 @@ def _cmd_pullback(args, config) -> int:
     anchor = _analysis_opt(args, config, "anchor")
     if isinstance(anchor, str):
         anchor = np.array(_parse_floats(anchor, model.dimension))
-    cfg = _integrator_config(model, config)
+    cfg = analysis.integrator_config(
+        model, config.get("analysis", {}).get("integrator"))
     est = analysis.estimate_pullback(
         model, window=tuple(window), anchor=anchor, sense=sense, tol=tol, cfg=cfg
     )
@@ -251,7 +244,8 @@ def _cmd_tip(args, config) -> int:
     window = _analysis_opt(args, config, "window", (0.0, 4.0))
     if isinstance(window, str):
         window = tuple(_parse_floats(window, 2))
-    cfg = _integrator_config(model, config)
+    cfg = analysis.integrator_config(
+        model, config.get("analysis", {}).get("integrator"))
     report = tipping.find_critical_rate(
         model, r_range=(rr[0], rr[1]), resolution=resolution,
         window=tuple(window), cfg=cfg,
@@ -283,7 +277,8 @@ def _cmd_sweep(args, config) -> int:
     window = _analysis_opt(args, config, "window", (0.0, 4.0))
     if isinstance(window, str):
         window = tuple(_parse_floats(window, 2))
-    cfg = _integrator_config(model, config)
+    cfg = analysis.integrator_config(
+        model, config.get("analysis", {}).get("integrator"))
     results = tipping.sweep(
         model, rates, threads=args.threads, window=tuple(window), cfg=cfg
     )
@@ -430,8 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rates", help="comma-separated rates")
     sp.add_argument("--r-range", dest="r_range", help="a,b,n (linear grid)")
     sp.add_argument("--window", help="observation window a,b")
-    sp.add_argument("--threads", type=int, help="worker threads "
-                    "(default: TIPLAB_THREADS or 1)")
+    sp.add_argument("--threads", type=int, help="worker count, validated only: "
+                    "the sweep runs as one batch (default: TIPLAB_THREADS or 1)")
 
     sp = sub.add_parser("figure", help="emit data tables for standard figures")
     common(sp)

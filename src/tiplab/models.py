@@ -9,8 +9,9 @@ against.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -66,28 +67,40 @@ class RampDescriptor:
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial ramp needs degree >= 1")
 
-    def value(self, t: float) -> float:
-        rt = self.rate * t
+    def value(self, t, rate=None):
+        """λ(rt); ``t`` and ``rate`` (default: the ramp's) may be arrays."""
+        rt = (self.rate if rate is None else rate) * t
         if self.kind == "exponential":
-            return math.exp(rt)
+            return np.exp(rt)
         if self.kind == "linear":
             return rt
         if self.kind == "polynomial":
-            return (1.0 + rt) ** self.degree - 1.0
-        return self.scale * (math.tanh(rt) + 1.0) / 2.0
+            return _ipow(1.0 + rt, self.degree) - 1.0
+        return self.scale * (np.tanh(rt) + 1.0) / 2.0
 
-    def slope(self, t: float) -> float:
+    def slope(self, t, rate=None):
         """Exact dλ/dt; for the polynomial ramp this is the re-indexed
         closed form r·p·Σ_{k=0..p-1} C(p-1,k)(rt)^k = r·p·(1+rt)^(p-1)."""
-        r = self.rate
+        r = self.rate if rate is None else rate
         rt = r * t
         if self.kind == "exponential":
-            return r * math.exp(rt)
+            return r * np.exp(rt)
         if self.kind == "linear":
             return r
         if self.kind == "polynomial":
-            return r * self.degree * (1.0 + rt) ** (self.degree - 1)
-        return self.scale * r / (2.0 * math.cosh(rt) ** 2)
+            return r * self.degree * _ipow(1.0 + rt, self.degree - 1)
+        c = np.cosh(rt)
+        return self.scale * r / (2.0 * (c * c))
+
+
+def _ipow(base, k: int):
+    """base**k by repeated multiplication, so arrays and scalars agree bitwise."""
+    if k == 0:
+        return 1.0
+    out = base
+    for _ in range(k - 1):
+        out = out * base
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,13 +131,23 @@ class ComovingDescriptor:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A catalog model at one rate.
+
+    ``rhs(X[N, d], T[N], R[N]) -> [N, d]`` is the model's one vectorized
+    right-hand side, with the rate as an argument so that members at
+    different rates share a batch; ``field`` is its scalar view at this
+    model's rate.
+    """
+
     name: str
     dimension: int
     params: Mapping[str, float]
     ramp: RampDescriptor
-    field: VectorFieldHandle
+    rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     comoving: ComovingDescriptor | None = None
-    oracles: Mapping[str, Callable[[float], np.ndarray]] = field(default_factory=dict)
+    oracles: Mapping[str, Callable[[float], np.ndarray]] = dataclasses.field(
+        default_factory=dict
+    )
     critical_rates: tuple[float, ...] = ()
     default_anchors: tuple = ()
     repeller_anchors: tuple = ()
@@ -132,6 +155,16 @@ class ModelSpec:
     odd_axes: tuple[int, ...] = ()
     escape_norm: float = 1e6
     state_box: Callable[[float], list[tuple[float, float]]] | None = None
+    field: VectorFieldHandle = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rhs, r = self.rhs, self.rate
+        object.__setattr__(self, "field", VectorFieldHandle(
+            self.dimension,
+            lambda x, t, p: rhs(np.asarray(x, dtype=float)[None, :], t, r)[0],
+            self.params,
+            batch=lambda X, T: rhs(X, T, r),
+        ))
 
     @property
     def rate(self) -> float:
@@ -180,8 +213,8 @@ def make_drift(r: float = 0.5) -> ModelSpec:
     """dx/dt = -(x - exp(rt)): drifts from its QSE but never tips."""
     ramp = RampDescriptor("exponential", r)
 
-    def rhs(x, t, p):
-        return -(x - math.exp(r * t))
+    def rhs(X, T, R):
+        return (ramp.value(T, R) - X[:, 0])[:, None]
 
     gamma = lambda t: math.exp(r * t) / (1.0 + r)
     comoving = ComovingDescriptor(
@@ -197,7 +230,7 @@ def make_drift(r: float = 0.5) -> ModelSpec:
         dimension=1,
         params={"r": r},
         ramp=ramp,
-        field=VectorFieldHandle(1, rhs),
+        rhs=rhs,
         comoving=comoving,
         oracles={
             "attractor+": _scalar(gamma),
@@ -218,9 +251,9 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
     ramp = RampDescriptor("linear", r)
     rstar = mu * mu / 4.0
 
-    def rhs(x, t, p):
-        u = x - r * t
-        return -u * (u - mu)
+    def rhs(X, T, R):
+        u = X[:, 0] - R * T
+        return (u * (mu - u))[:, None]
 
     def rho():
         d = rstar - r
@@ -249,7 +282,7 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
         dimension=1,
         params={"r": r, "mu": mu},
         ramp=ramp,
-        field=VectorFieldHandle(1, rhs),
+        rhs=rhs,
         comoving=comoving,
         oracles={
             "attractor+": _scalar(lambda t: r * t + mu / 2.0 + rho()),
@@ -289,9 +322,9 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
     ramp = RampDescriptor("linear", r)
     rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
 
-    def rhs(x, t, p):
-        u = x - r * t
-        return -u * (u - mu) * (u + mu)
+    def rhs(X, T, R):
+        u = X[:, 0] - R * T
+        return (-u * (u - mu) * (u + mu))[:, None]
 
     def roots_or_raise(which):
         roots = _cubic_comoving_roots(mu, r)
@@ -330,7 +363,7 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
         dimension=1,
         params={"r": r, "mu": mu},
         ramp=ramp,
-        field=VectorFieldHandle(1, rhs),
+        rhs=rhs,
         comoving=comoving,
         oracles={
             "attractor+": _scalar(lambda t: r * t + roots_or_raise("attractor+")),
@@ -356,13 +389,13 @@ def make_moving_pitchfork(mu: float = 1.0, r: float = 0.5, p: int = 1) -> ModelS
     p = int(p)
     ramp = RampDescriptor("polynomial", r, degree=p)
 
-    def rhs(x, t, par):
-        lam = ramp.value(t)
-        z = x[0] + lam
-        return np.array([
-            -z + r - ramp.slope(t),
-            -x[1] * (z - mu + x[1] * x[1]),
-        ])
+    def rhs(X, T, R):
+        z = X[:, 0] + ramp.value(T, R)
+        y = X[:, 1]
+        out = np.empty(X.shape)
+        out[:, 0] = -z + R - ramp.slope(T, R)
+        out[:, 1] = -y * (z - mu + y * y)
+        return out
 
     def g(y):
         return np.array([-y[0] + r, -y[1] * (y[0] - mu + y[1] * y[1])])
@@ -412,7 +445,7 @@ def make_moving_pitchfork(mu: float = 1.0, r: float = 0.5, p: int = 1) -> ModelS
         dimension=2,
         params={"r": r, "mu": mu, "p": p},
         ramp=ramp,
-        field=VectorFieldHandle(2, rhs),
+        rhs=rhs,
         comoving=ComovingDescriptor(
             gain=np.array([-1.0, 0.0]),
             offset=np.array([0.0, 0.0]),
@@ -453,16 +486,16 @@ def make_bounded_ramp_sn(mu: float = 0.5, r: float = 0.05, lambda_max: float | N
         lambda_max = 3.0 * mu
     ramp = RampDescriptor("bounded_tanh", r, scale=lambda_max)
 
-    def rhs(x, t, p):
-        u = x - ramp.value(t)
-        return -u * (u - mu)
+    def rhs(X, T, R):
+        u = X[:, 0] - ramp.value(T, R)
+        return (-u * (u - mu))[:, None]
 
     return ModelSpec(
         name="bounded-ramp-sn",
         dimension=1,
         params={"r": r, "mu": mu, "lambda_max": lambda_max},
         ramp=ramp,
-        field=VectorFieldHandle(1, rhs),
+        rhs=rhs,
         oracles={
             "qse_stable+": _scalar(lambda t: ramp.value(t) + mu),
             "qse_unstable": _scalar(lambda t: ramp.value(t)),

@@ -12,19 +12,21 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import (
+from .analysis import (  # noqa: F401  (estimate_pullback stays importable here)
     CONVERGED,
     ESCAPED_DURING_PULLBACK,
     Diagnostic,
     PullbackEstimate,
+    PullbackJob,
     estimate_pullback,
     forward_attraction_test,
+    integrator_config,
+    run_pullbacks,
 )
 from .integrate import IntegratorConfig
 from .models import ModelSpec, TiplabError
@@ -36,6 +38,7 @@ __all__ = [
     "rate_diagnostics",
     "find_critical_rate",
     "locality_probe",
+    "scan_rates",
     "sweep",
     "thread_count",
 ]
@@ -96,6 +99,59 @@ def _dedupe(estimates: list[PullbackEstimate]) -> list[list[int]]:
     return groups
 
 
+def _rate_jobs(
+    model: ModelSpec,
+    rates: Sequence[float],
+    anchors: Sequence | None,
+    window: tuple[float, float],
+    tol: float,
+    max_lookback: float,
+) -> list[list[PullbackJob]]:
+    """One attracting pullback job per (rate, anchor), grouped by rate."""
+    out = []
+    for r in rates:
+        m = model.with_rate(r)
+        pool = m.default_anchors if anchors is None else anchors
+        if not pool:
+            raise TiplabError(f"model {m.name!r} has no anchors to diagnose")
+        out.append([
+            PullbackJob(m, np.atleast_1d(np.asarray(a, dtype=float)), "attracting",
+                        (float(window[0]), float(window[1])), tol,
+                        max_lookback=max_lookback)
+            for a in pool
+        ])
+    return out
+
+
+def _diagnose(jobs: list[PullbackJob], window: tuple[float, float]) -> RateDiagnostics:
+    """The per-rate picture from resolved jobs, without forward tests."""
+    estimates = [job.estimate for job in jobs]
+    escaped = [i for i, e in enumerate(estimates) if e.status == ESCAPED_DURING_PULLBACK]
+    inconclusive = [
+        i for i, e in enumerate(estimates)
+        if e.status not in (CONVERGED, ESCAPED_DURING_PULLBACK)
+    ]
+    groups = _dedupe(estimates)
+    n_att = len(groups)
+
+    if escaped:
+        tipped: bool | None = True
+    elif inconclusive:
+        tipped = None
+    else:
+        tipped = n_att < len(jobs)
+    return RateDiagnostics(
+        rate=jobs[0].model.rate,
+        window=window,
+        estimates=estimates,
+        groups=groups,
+        n_attractors=n_att,
+        escaped=escaped,
+        inconclusive=inconclusive,
+        tipped=tipped,
+    )
+
+
 def rate_diagnostics(
     model: ModelSpec,
     r: float | None = None,
@@ -117,42 +173,20 @@ def rate_diagnostics(
     """
     if r is not None:
         model = model.with_rate(r)
-    if anchors is None:
-        anchors = model.default_anchors
-    if not anchors:
-        raise TiplabError(f"model {model.name!r} has no anchors to diagnose")
+    cfg = cfg or integrator_config(model)
+    (jobs,) = _rate_jobs(model, [model.rate], anchors, window, tol, max_lookback)
+    run_pullbacks(jobs, cfg)
+    diag = _diagnose(jobs, window)
 
-    estimates = [
-        estimate_pullback(
-            model, window=window, anchor=a, tol=tol, max_lookback=max_lookback, cfg=cfg
-        )
-        for a in anchors
-    ]
-    escaped = [i for i, e in enumerate(estimates) if e.status == ESCAPED_DURING_PULLBACK]
-    inconclusive = [
-        i for i, e in enumerate(estimates)
-        if e.status not in (CONVERGED, ESCAPED_DURING_PULLBACK)
-    ]
-    groups = _dedupe(estimates)
-    n_att = len(groups)
-
-    if escaped:
-        tipped: bool | None = True
-    elif inconclusive:
-        tipped = None
-    else:
-        tipped = n_att < len(anchors)
-
-    forward = []
     if include_forward:
-        for g in groups:
-            est = estimates[g[0]]
+        for g in diag.groups:
+            est = diag.estimates[g[0]]
             offs = []
             for j in range(model.dimension):
                 e = np.zeros(model.dimension)
                 e[j] = 0.01
                 offs.extend([e, -e])
-            forward.append(
+            diag.forward.append(
                 forward_attraction_test(
                     model,
                     candidate=est,
@@ -162,17 +196,7 @@ def rate_diagnostics(
                     cfg=cfg,
                 )
             )
-    return RateDiagnostics(
-        rate=model.rate,
-        window=window,
-        estimates=estimates,
-        groups=groups,
-        n_attractors=n_att,
-        escaped=escaped,
-        inconclusive=inconclusive,
-        tipped=tipped,
-        forward=forward,
-    )
+    return diag
 
 
 @dataclass
@@ -260,6 +284,34 @@ def _classify(model: ModelSpec, lo: float, hi: float) -> str:
     return "unclassified"
 
 
+def scan_rates(
+    r_range: tuple[float, float], resolution: float, scan_per_decade: int = 40
+) -> np.ndarray:
+    """The log-spaced scan of ``find_critical_rate``: ``scan_per_decade``
+    probes per decade of |r|, on both signs when the range straddles zero,
+    keeping |r| >= max(resolution, 1e-6)."""
+    lo, hi = float(r_range[0]), float(r_range[1])
+    inner = max(resolution, 1e-6)
+
+    def grid_of(a: float, b: float) -> np.ndarray:
+        # log-spaced scan of a single-signed interval [a, b], 0 < a < b
+        n = max(2, int(math.ceil(scan_per_decade * math.log10(b / a))) + 1)
+        return np.geomspace(a, b, n)
+
+    pieces = []
+    if lo < 0:
+        neg_hi = min(hi, -inner)
+        if neg_hi > lo:
+            pieces.append(-grid_of(-neg_hi, -lo)[::-1])
+    if hi > 0:
+        pos_lo = max(lo, inner)
+        if hi > pos_lo:
+            pieces.append(grid_of(pos_lo, hi))
+    if not pieces:
+        raise ValueError("r_range too narrow to scan at this resolution")
+    return np.concatenate(pieces)
+
+
 def find_critical_rate(
     model: ModelSpec,
     r_range: tuple[float, float] = (1e-3, 1.0),
@@ -283,52 +335,42 @@ def find_critical_rate(
     lo, hi = float(r_range[0]), float(r_range[1])
     if not hi > lo:
         raise ValueError("r_range must be increasing")
-    inner = max(resolution, 1e-6)
-
-    def grid_of(a: float, b: float) -> np.ndarray:
-        # log-spaced scan of a single-signed interval [a, b], 0 < a < b
-        n = max(2, int(math.ceil(scan_per_decade * math.log10(b / a))) + 1)
-        return np.geomspace(a, b, n)
-
-    pieces = []
-    if lo < 0:
-        neg_hi = min(hi, -inner)
-        if neg_hi > lo:
-            pieces.append(-grid_of(-neg_hi, -lo)[::-1])
-    if hi > 0:
-        pos_lo = max(lo, inner)
-        if hi > pos_lo:
-            pieces.append(grid_of(pos_lo, hi))
-    if not pieces:
-        raise ValueError("r_range too narrow to scan at this resolution")
-    scan = np.concatenate(pieces)
+    scan = scan_rates(r_range, resolution, scan_per_decade)
+    cfg = cfg or integrator_config(model)
 
     cache: dict[float, bool | None] = {}
-    counter = {"probes": 0}
-    any_flag = {"flag": False}
+    any_flag = False
+
+    def probe(rates: Sequence[float]) -> None:
+        """Decide the tipping predicate at new rates, in one batch.
+
+        Inconclusive rates are retried together with a relaxed convergence
+        tolerance and a four-fold lookback, reusing what was integrated.
+        """
+        nonlocal any_flag
+        jobs = _rate_jobs(model, rates, anchors, window, tol, max_lookback)
+        run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
+        retry = []
+        for r, per_rate in zip(rates, jobs):
+            cache[r] = _diagnose(per_rate, window).tipped
+            if cache[r] is None:
+                retry.append((r, per_rate))
+        for _, per_rate in retry:
+            for job in per_rate:
+                job.relax(tol * 100.0, max_lookback * 4.0)
+        run_pullbacks([job for _, per_rate in retry for job in per_rate], cfg)
+        for r, per_rate in retry:
+            cache[r] = _diagnose(per_rate, window).tipped
+            if cache[r] is None:
+                any_flag = True
 
     def predicate(r: float) -> bool | None:
-        if r in cache:
-            return cache[r]
-        counter["probes"] += 1
-        d = rate_diagnostics(
-            model, r=r, window=window, anchors=anchors, tol=tol,
-            max_lookback=max_lookback, cfg=cfg, include_forward=False,
-        )
-        verdict = d.tipped
-        if verdict is None:
-            # widen: relax the convergence tolerance and look further back
-            d = rate_diagnostics(
-                model, r=r, window=window, anchors=anchors, tol=tol * 100.0,
-                max_lookback=max_lookback * 4.0, cfg=cfg, include_forward=False,
-            )
-            verdict = d.tipped
-            if verdict is None:
-                any_flag["flag"] = True
-        cache[r] = verdict
-        return verdict
+        if r not in cache:
+            probe([r])
+        return cache[r]
 
-    verdicts = [predicate(r) for r in scan]
+    probe([float(r) for r in scan])
+    verdicts = [cache[float(r)] for r in scan]
 
     raw_brackets: list[tuple[float, float]] = []
     last_idx = None
@@ -341,6 +383,7 @@ def find_critical_rate(
 
     brackets = []
     for a, b in raw_brackets:
+        before = len(cache)
         flagged = False
         va = predicate(a)
         nudges = 0
@@ -361,7 +404,7 @@ def find_critical_rate(
                 b = mid
         cls = _classify(model, a, b)
         brackets.append(
-            CriticalRateBracket(a, b, cls, flagged=flagged, probes=counter["probes"])
+            CriticalRateBracket(a, b, cls, flagged=flagged, probes=len(cache) - before)
         )
 
     return TippingReport(
@@ -370,8 +413,8 @@ def find_critical_rate(
         r_range=(lo, hi),
         resolution=resolution,
         brackets=brackets,
-        probes=counter["probes"],
-        flagged=any_flag["flag"] or any(b.flagged for b in brackets),
+        probes=len(cache),
+        flagged=any_flag or any(b.flagged for b in brackets),
     )
 
 
@@ -425,23 +468,19 @@ def sweep(
     tol: float = 1e-8,
     cfg: IntegratorConfig | None = None,
 ) -> list[dict]:
-    """Per-rate diagnostics over many rates, optionally thread-parallel.
+    """Per-rate diagnostics over many rates, integrated as one batch.
 
-    Results come back in the order of ``r_values`` regardless of the worker
-    count, and each entry is computed independently, so parallel and
-    sequential runs produce identical output.
+    Results come back in the order of ``r_values``.  ``threads`` (or
+    ``TIPLAB_THREADS``) is validated but starts no threads: every rate,
+    anchor and lookback doubling is a member of one batch in the calling
+    thread, and a member's result does not depend on the batch, so the
+    output is identical at any worker count.
     """
     r_values = [float(r) for r in r_values]
-    workers = thread_count(threads)
-
-    def task(r: float) -> dict:
-        d = rate_diagnostics(
-            model, r=r, window=window, anchors=anchors, tol=tol, cfg=cfg,
-            include_forward=False,
-        )
-        return d.summary()
-
-    if workers == 1:
-        return [task(r) for r in r_values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, r_values))
+    thread_count(threads)
+    if not r_values:
+        return []
+    cfg = cfg or integrator_config(model)
+    jobs = _rate_jobs(model, r_values, anchors, window, tol, 4096.0)
+    run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
+    return [_diagnose(per_rate, window).summary() for per_rate in jobs]
