@@ -23,17 +23,16 @@ from .integrate import (
     Trajectory,
     VectorFieldHandle,
     integrate,
+    integrate_members,
 )
 from .models import ModelSpec, TiplabError
 
 __all__ = [
     "PullbackEstimate",
-    "PullbackJob",
     "QseSample",
     "QseBranch",
     "Diagnostic",
     "estimate_pullback",
-    "run_pullbacks",
     "integrator_config",
     "forward_attraction_test",
     "endpoint_tracking_test",
@@ -375,9 +374,7 @@ def forward_attraction_test(
     # distances below the integrator's own error are indistinguishable noise
     floor = 100.0 * (cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(ref))))
 
-    traces = []
-    any_fail = False
-    holds_ok = []
+    offs = []
     for off in offsets:
         off = np.atleast_1d(np.asarray(off, dtype=float))
         if off.size == 1 and model.dimension == 1:
@@ -386,10 +383,20 @@ def forward_attraction_test(
             raise ValueError(f"offset shape {off.shape} != ({model.dimension},)")
         if not np.any(off):
             raise ValueError("offsets must be nonzero")
+        offs.append(off)
+    x0 = ref[0] + np.reshape(offs, (-1, model.dimension))
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("probe start states must be finite")
+    # every probe is one member of a single batch
+    trajs = (integrate_members(model.rhs, model.dimension, x0, start, t1, cfg, model.rate)
+             if offs else [])
+
+    traces = []
+    any_fail = False
+    holds_ok = []
+    for off, traj in zip(offs, trajs):
         size = float(np.linalg.norm(off))
         in_radius = size <= basin_radius
-        x0 = ref[0] + off
-        traj = integrate(model.field, x0, start, t1, cfg)
         rec = {"offset": off.tolist(), "in_basin_radius": in_radius}
         if traj.status != COMPLETED:
             rec["escaped"] = True

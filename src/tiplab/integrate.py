@@ -2,9 +2,11 @@
 
 One in-house Dormand–Prince 5(4) stepper advances N independent members at
 once.  Each member has its own time, step size, step cap, end time and
-status, and every stage sum is written out term by term in a fixed order
-(no BLAS products), so a member's result does not depend on how many other
-members share its batch or which they are.  The tableau, the step-size
+status, and every stage sum is added in stage order (no BLAS products), so
+a member's result does not depend on how many other members share its
+batch or which they are.  A lone member steps in Python floats through the
+same operations in the same order, since at one member numpy's per-call
+overhead would set the cost of a step.  The tableau, the step-size
 controller and the initial-step heuristic are those of Dormand & Prince,
 *J. Comput. Appl. Math.* 6 (1980), and Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.4–II.6; the quartic dense output is Shampine's, *Math. Comp.* 46
@@ -31,7 +33,6 @@ __all__ = [
     "VectorFieldHandle",
     "IntegratorConfig",
     "Trajectory",
-    "Batch",
     "integrate",
     "dense_eval",
 ]
@@ -72,13 +73,75 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 5.0
 
 
-def _combine(terms, coeffs):
-    """sum_j coeffs[j] * terms[j] over the nonzero coefficients, in order."""
-    acc = None
-    for term, c in zip(terms, coeffs):
-        if c:
-            acc = term * c if acc is None else acc + term * c
-    return acc
+def _weights(coeffs):
+    """(stage indices, weights[j, 1, 1]) of the nonzero coefficients."""
+    idx = [j for j, c in enumerate(coeffs) if c]
+    w = np.array([coeffs[j] for j in idx])[:, None, None]
+    return (slice(0, len(idx)) if idx == list(range(len(idx))) else idx), w
+
+
+_A_W = [None] + [_weights(a) for a in _A[1:]]
+_B_W = _weights(_B)
+_E_W = _weights(_E)
+_P_W = [_weights([p[c] for p in _P]) for c in range(4)]
+
+
+def _wsum(K: np.ndarray, weights) -> np.ndarray:
+    """sum_j w[j] * K[idx[j]] over the stage axis of K[s, n, d].
+
+    ``np.add.accumulate`` adds strictly in stage order whatever n is, so a
+    member's sum does not depend on the other members in K.
+    """
+    idx, w = weights
+    return np.add.accumulate(K[idx] * w, axis=0)[-1]
+
+
+# The stage nodes and nonzero weights as Python floats, for a lone member.
+_C_F = _C.tolist()
+
+
+def _float_weights(coeffs):
+    """(first stage, its weight, the other (stage, weight) pairs) of the
+    nonzero coefficients."""
+    (j, w), *rest = [(j, float(c)) for j, c in enumerate(coeffs) if c]
+    return j, w, tuple(rest)
+
+
+_A_F = [None] + [_float_weights(a) for a in _A[1:]]
+_B_F = _float_weights(_B)
+_E_F = _float_weights(_E)
+
+
+def _fsum(K: list, weights) -> list:
+    """``_wsum`` for one member whose stages K[s] are lists of floats."""
+    j0, w0, rest = weights
+    out = []
+    for c, v in enumerate(K[j0]):
+        acc = v * w0
+        for j, w in rest:
+            acc = acc + K[j][c] * w
+        out.append(acc)
+    return out
+
+
+def _fnorm(q: list) -> float:
+    """``_norm2`` of one member's list of floats, in the same order."""
+    if len(q) == 1:
+        return abs(q[0])
+    acc = q[0] * q[0]
+    for v in q[1:]:
+        acc = acc + v * v
+    return math.sqrt(acc)
+
+
+def _fmax(a: float, b: float) -> float:
+    """np.maximum of two floats: NaN if either is NaN."""
+    return a if (a >= b or a != a) else b
+
+
+def _fmin(a: float, b: float) -> float:
+    """np.minimum of two floats: NaN if either is NaN."""
+    return a if (a <= b or a != a) else b
 
 
 def _rms(q: np.ndarray) -> np.ndarray:
@@ -99,19 +162,11 @@ def _norm2(q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorFieldHandle:
-    """A right-hand side f(x, t, params) of fixed state dimension.
-
-    ``batch``, when given, is the same field vectorized over members:
-    ``batch(X[N, d], T[N]) -> [N, d]``.  Without it the stepper calls the
-    scalar form once per member.
-    """
+    """A right-hand side f(x, t, params) of fixed state dimension."""
 
     dimension: int
     rhs: Callable[[np.ndarray, float, Mapping], np.ndarray]
     params: Mapping = field(default_factory=dict)
-    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -127,15 +182,13 @@ class VectorFieldHandle:
 
 
 def _member_rhs(fld: VectorFieldHandle):
-    """The stepper's rhs(X, T, R) for a handle; R is unused."""
-    if fld.batch is not None:
-        batch = fld.batch
-        return lambda X, T, R: batch(X, T)
-
+    """The stepper's rhs for a handle, which only ever steps one member:
+    x[d] at time t while it steps, X[1, d] at T[1] when it starts; R is
+    unused."""
     def rhs(X, T, R):
-        if len(X) == 1:
-            return fld(X[0], T[0])[None, :]
-        return np.stack([fld(x, t) for x, t in zip(X, T)])
+        if X.ndim == 1:
+            return fld(X, T)
+        return fld(X[0], T[0])[None, :]
     return rhs
 
 
@@ -238,14 +291,15 @@ class Batch:
     """Members of one ODE stepped together by the Dormand–Prince 5(4) pair.
 
     ``rhs(X, T, R)`` evaluates the field at states X[n, d], times T[n] and
-    rates R[n].  ``start`` adds members (or restarts stopped ones on a new
-    leg) with a fresh initial step; ``advance`` makes one step attempt for
-    every active member and returns the ids of those that stopped, whose
-    ``(status, t, y)`` then sit in ``final``.  A member stops when it
-    reaches its end time (``completed``), when its state norm reaches
-    ``escape_norm`` or stops being finite (``escaped``), or when its step
-    underflows: below ten units in the last place of t on a retry, or below
-    ``min_step`` away from the end time (``step_underflow``).  Members
+    rates R[n], and, for a lone member, at one state x[d], time t and rate
+    r with the same arithmetic.  ``start`` adds members (or restarts stopped
+    ones on a new leg) with a fresh initial step; ``advance`` makes one step
+    attempt for every active member and returns the ids of those that
+    stopped, whose ``(status, t, y)`` then sit in ``final``.  A member stops
+    when it reaches its end time (``completed``), when its state norm
+    reaches ``escape_norm`` or stops being finite (``escaped``), or when its
+    step underflows: below ten units in the last place of t on a retry, or
+    below ``min_step`` away from the end time (``step_underflow``).  Members
     started with ``record`` keep every accepted step for ``trajectory``;
     the others keep only their current state.
     """
@@ -343,6 +397,8 @@ class Batch:
         Escaping members overflow on the way out: callers run this under
         ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``.
         """
+        if len(self.t) == 1:
+            return self._advance_one()
         t, y, f, d = self.t, self.y, self.f, self.direction
         n = len(t)
         rej = self.rejected
@@ -365,12 +421,13 @@ class Batch:
         H = h[:, None]
         R = self.rate
         T = t + np.multiply.outer(_C, h)
-        K = [f]
-        for j, a in enumerate(_A[1:], start=1):
-            K.append(self.rhs(y + _combine(K, a) * H, T[j], R))
-        y_new = y + H * _combine(K, _B)
-        K.append(self.rhs(y_new, t + h, R))
-        err = _combine(K, _E) * H
+        K = np.empty((7, n, self.dim))
+        K[0] = f
+        for j in range(1, 6):
+            K[j] = self.rhs(y + _wsum(K, _A_W[j]) * H, T[j], R)
+        y_new = y + H * _wsum(K, _B_W)
+        K[6] = self.rhs(y_new, t + h, R)
+        err = _wsum(K, _E_W) * H
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
         err_norm = _rms(err / scale)
         factor = _SAFETY * err_norm ** _ERR_EXP
@@ -413,18 +470,89 @@ class Batch:
         status = np.where(esc, ESCAPED, np.where(under, STEP_UNDERFLOW, COMPLETED))
         return self._stop(stopped, status)
 
+    def _advance_one(self) -> list[int]:
+        """``advance`` for one active member, in Python floats.
+
+        Every operation of the array path is made in the same order, and
+        ``power`` goes through numpy (whose array loop can round differently
+        from libm), so a member's result does not depend on which path ran.
+        """
+        one = np.ones(1, dtype=bool)
+        t, d, t_bound = self.t.item(), self.direction.item(), self.t_bound.item()
+        y, f = self.y[0].tolist(), self.f[0].tolist()
+        rej = self.rejected.item()
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        if rej:
+            # a retry keeps its shrunk step, and fails once that is too small
+            h_abs = self.h_abs.item()
+            if h_abs < min_step:
+                return self._stop(one, STEP_UNDERFLOW)
+        else:
+            h_abs = _fmin(_fmax(self.h_abs.item(), min_step), self.max_step.item())
+
+        t_new = t + h_abs * d
+        if d * (t_new - t_bound) > 0:
+            t_new = t_bound
+        h = t_new - t
+        h_abs = abs(h)
+        r = self.rate.item()
+
+        def rhs(x, tj):
+            return self.rhs(np.array(x), tj, r).tolist()
+
+        K = [f]
+        for j in range(1, 6):
+            K.append(rhs([a + b * h for a, b in zip(y, _fsum(K, _A_F[j]))], t + _C_F[j] * h))
+        y_new = [a + h * b for a, b in zip(y, _fsum(K, _B_F))]
+        K.append(rhs(y_new, t + h))
+        err = [b * h for b in _fsum(K, _E_F)]
+        q = [e / (self.atol + _fmax(abs(a), abs(b)) * self.rtol)
+             for e, a, b in zip(err, y, y_new)]
+        err_norm = _fnorm(q) / math.sqrt(self.dim)
+        factor = _SAFETY * float(np.power(np.array([err_norm]), _ERR_EXP)[0])
+        ok = err_norm < 1
+        if ok:
+            grow = _fmin(_MAX_FACTOR, factor)
+            if rej:
+                # no growth on the step that follows a rejection
+                grow = _fmin(1.0, grow)
+            h_next = h_abs * grow
+            self.t, self.y, self.f = np.array([t_new]), np.array([y_new]), np.array([K[6]])
+            if self.record.item():
+                self._keep(one, self.t, self.y, np.array(K)[:, None, :])
+        else:
+            h_next = h_abs * (factor if factor > _MIN_FACTOR else _MIN_FACTOR)
+        self.h_abs = np.array([h_next])
+        self.rejected = np.array([not ok])
+        if not ok:
+            return []
+
+        # An accepted step ends at t_bound exactly when it reaches it.
+        if not _fnorm(y_new) < self.escape_norm:
+            status = ESCAPED
+        elif h_next < self.min_step and abs(t_bound - t_new) > self.min_step:
+            status = STEP_UNDERFLOW
+        elif t_new == t_bound:
+            status = COMPLETED
+        else:
+            return []
+        return self._stop(one, status)
+
     def _keep(self, rec, t_new, y_new, K):
         """Log the accepted steps of recording members."""
-        stages = np.stack(K, axis=1)
+        e = len(self._log)
         if np.count_nonzero(rec) == len(rec):
-            entry, ids = (t_new, y_new, stages), self.ids
+            self._log.append((t_new, y_new, K))
+            ids = self.ids
         else:
             j = np.flatnonzero(rec)
-            entry, ids = (t_new[j], y_new[j], stages[j]), self.ids[j]
-        e = len(self._log)
-        self._log.append(entry)
-        for row, i in enumerate(ids.tolist()):
-            self._rows[i].append((e, row))
+            self._log.append((t_new[j], y_new[j], K[:, j]))
+            ids = self.ids[j]
+        if len(ids) == 1:
+            self._rows[int(ids[0])].append((e, 0))
+        else:
+            for row, i in enumerate(ids.tolist()):
+                self._rows[i].append((e, row))
 
     def _stop(self, mask: np.ndarray, status) -> list[int]:
         status = np.broadcast_to(np.asarray(status), mask.shape)
@@ -458,11 +586,8 @@ class Batch:
         times = np.array([t0] + [log[e][0][r] for e, r in rows])
         states = np.vstack([x0[None, :]] + [log[e][1][r][None, :] for e, r in rows])
         if rows:
-            stages = np.stack([log[e][2][r] for e, r in rows])
-            terms = [stages[:, s, :] for s in range(7)]
-            coeffs = np.stack(
-                [_combine(terms, [p[c] for p in _P]) for c in range(4)], axis=-1
-            )
+            K = np.stack([log[e][2][:, r] for e, r in rows], axis=1)
+            coeffs = np.stack([_wsum(K, w) for w in _P_W], axis=-1)
         else:
             coeffs = np.empty((0, self.dim, 4))
         return Trajectory(
@@ -521,6 +646,25 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     return (lo, hi), singular
 
 
+def integrate_members(rhs, dim: int, x0: np.ndarray, t0: float, t1: float,
+                      cfg: IntegratorConfig, rate: float = 0.0) -> list[Trajectory]:
+    """Integrate the members x0[i] of one field from t0 to t1 as one batch.
+
+    ``rhs`` takes both forms ``Batch`` calls, with ``rate`` as R.  Each
+    trajectory keeps its dense output; an escaped one ends where it crossed
+    ``cfg.escape_norm``, with no blow-up bracket.
+    """
+    if t1 == t0:
+        raise ValueError("t1 must differ from t0")
+    n = len(x0)
+    batch = Batch(rhs, dim, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm, cfg.min_step)
+    batch.start(np.arange(n), x0, t0, t1, rate, cfg.max_step, record=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while batch.n_active:
+            batch.advance()
+    return [batch.trajectory(i) for i in range(n)]
+
+
 def integrate(
     field: VectorFieldHandle,
     x0,
@@ -553,13 +697,7 @@ def integrate(
         )
 
     rhs = _member_rhs(field)
-    batch = Batch(rhs, field.dimension, cfg.rel_tol, cfg.abs_tol,
-                  cfg.escape_norm, cfg.min_step)
-    batch.start([0], x0, t0, t1, max_step=cfg.max_step, record=True)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while batch.n_active:
-            batch.advance()
-    traj = batch.trajectory(0)
+    (traj,) = integrate_members(rhs, field.dimension, x0[None, :], t0, t1, cfg)
     if traj.status == ESCAPED:
         traj.escape_bracket, traj.bracket_verified = _escape_bracket(
             rhs, traj, cfg, direction

@@ -135,8 +135,9 @@ class ModelSpec:
 
     ``rhs(X[N, d], T[N], R[N]) -> [N, d]`` is the model's one vectorized
     right-hand side, with the rate as an argument so that members at
-    different rates share a batch; ``field`` is its scalar view at this
-    model's rate.
+    different rates share a batch.  It reads the components as ``X.T``, so
+    it also takes one state x[d] with scalar t and r: ``field`` is the same
+    function at this model's rate.
     """
 
     name: str
@@ -161,9 +162,8 @@ class ModelSpec:
         rhs, r = self.rhs, self.rate
         object.__setattr__(self, "field", VectorFieldHandle(
             self.dimension,
-            lambda x, t, p: rhs(np.asarray(x, dtype=float)[None, :], t, r)[0],
+            lambda x, t, p: rhs(np.asarray(x, dtype=float), t, r),
             self.params,
-            batch=lambda X, T: rhs(X, T, r),
         ))
 
     @property
@@ -214,7 +214,8 @@ def make_drift(r: float = 0.5) -> ModelSpec:
     ramp = RampDescriptor("exponential", r)
 
     def rhs(X, T, R):
-        return (ramp.value(T, R) - X[:, 0])[:, None]
+        (x,) = X.T
+        return (ramp.value(T, R) - x)[..., None]
 
     gamma = lambda t: math.exp(r * t) / (1.0 + r)
     comoving = ComovingDescriptor(
@@ -252,8 +253,9 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
     rstar = mu * mu / 4.0
 
     def rhs(X, T, R):
-        u = X[:, 0] - R * T
-        return (u * (mu - u))[:, None]
+        (x,) = X.T
+        u = x - R * T
+        return (u * (mu - u))[..., None]
 
     def rho():
         d = rstar - r
@@ -323,8 +325,9 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
     rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
 
     def rhs(X, T, R):
-        u = X[:, 0] - R * T
-        return (-u * (u - mu) * (u + mu))[:, None]
+        (x,) = X.T
+        u = x - R * T
+        return (-u * (u - mu) * (u + mu))[..., None]
 
     def roots_or_raise(which):
         roots = _cubic_comoving_roots(mu, r)
@@ -390,11 +393,11 @@ def make_moving_pitchfork(mu: float = 1.0, r: float = 0.5, p: int = 1) -> ModelS
     ramp = RampDescriptor("polynomial", r, degree=p)
 
     def rhs(X, T, R):
-        z = X[:, 0] + ramp.value(T, R)
-        y = X[:, 1]
+        x, y = X.T
+        z = x + ramp.value(T, R)
         out = np.empty(X.shape)
-        out[:, 0] = -z + R - ramp.slope(T, R)
-        out[:, 1] = -y * (z - mu + y * y)
+        out.T[0] = -z + R - ramp.slope(T, R)
+        out.T[1] = -y * (z - mu + y * y)
         return out
 
     def g(y):
@@ -487,8 +490,9 @@ def make_bounded_ramp_sn(mu: float = 0.5, r: float = 0.05, lambda_max: float | N
     ramp = RampDescriptor("bounded_tanh", r, scale=lambda_max)
 
     def rhs(X, T, R):
-        u = X[:, 0] - ramp.value(T, R)
-        return (-u * (u - mu))[:, None]
+        (x,) = X.T
+        u = x - ramp.value(T, R)
+        return (-u * (u - mu))[..., None]
 
     return ModelSpec(
         name="bounded-ramp-sn",

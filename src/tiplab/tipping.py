@@ -38,7 +38,6 @@ __all__ = [
     "rate_diagnostics",
     "find_critical_rate",
     "locality_probe",
-    "scan_rates",
     "sweep",
     "thread_count",
 ]
@@ -284,7 +283,7 @@ def _classify(model: ModelSpec, lo: float, hi: float) -> str:
     return "unclassified"
 
 
-def scan_rates(
+def _scan_rates(
     r_range: tuple[float, float], resolution: float, scan_per_decade: int = 40
 ) -> np.ndarray:
     """The log-spaced scan of ``find_critical_rate``: ``scan_per_decade``
@@ -335,7 +334,7 @@ def find_critical_rate(
     lo, hi = float(r_range[0]), float(r_range[1])
     if not hi > lo:
         raise ValueError("r_range must be increasing")
-    scan = scan_rates(r_range, resolution, scan_per_decade)
+    scan = _scan_rates(r_range, resolution, scan_per_decade)
     cfg = cfg or integrator_config(model)
 
     cache: dict[float, bool | None] = {}

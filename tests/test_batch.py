@@ -1,11 +1,17 @@
-"""Batched pullbacks: a member's estimate does not depend on the batch it
+"""Batched integration: a member's result does not depend on the batch it
 runs in, and a relaxed retry reuses the doublings already integrated."""
 import numpy as np
 import pytest
 
-from tiplab.analysis import estimate_pullback, integrator_config, run_pullbacks
+from tiplab.analysis import (
+    estimate_pullback,
+    forward_attraction_test,
+    integrator_config,
+    run_pullbacks,
+)
+from tiplab.integrate import Batch, integrate
 from tiplab.models import make_model
-from tiplab.tipping import _rate_jobs, scan_rates
+from tiplab.tipping import _rate_jobs, _scan_rates
 
 
 def assert_same_estimate(a, b):
@@ -26,7 +32,7 @@ def assert_same_estimate(a, b):
 ])
 def test_scan_member_equals_lone_estimate(name, params, r_range, resolution, rstar):
     model = make_model(name, **params)
-    rates = scan_rates(r_range, resolution)
+    rates = _scan_rates(r_range, resolution)
     jobs = _rate_jobs(model, rates, None, (0.0, 4.0), 1e-6, 4096.0)
     run_pullbacks([job for per_rate in jobs for job in per_rate], integrator_config(model))
 
@@ -66,3 +72,72 @@ def test_relaxed_retry_reuses_doublings(r, tol, max_lookback, pending, integrate
 
     fresh = estimate_pullback(model, r=r, tol=tol * 100.0, max_lookback=max_lookback * 4.0)
     assert_same_estimate(job.estimate, fresh)
+
+
+def test_forward_probes_match_lone_integration():
+    # the probes run as one batch; each must trace exactly what integrating
+    # it alone traces, the escaping probe (below the repeller) included
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    cfg = integrator_config(model)
+    est = estimate_pullback(model, tol=1e-8)
+    offsets = [0.01, -0.01, -0.5]
+    diag = forward_attraction_test(model, candidate=est, offsets=offsets, horizon=4.0, cfg=cfg)
+    grid = diag.evidence["times"]
+    probes = diag.evidence["probes"]
+    assert [p["escaped"] for p in probes] == [False, False, True]
+    for off, probe in zip(offsets, probes):
+        alone = integrate(model.field, est.eval(0.0) + off, 0.0, 4.0, cfg)
+        assert probe.get("status", "completed") == alone.status
+        if not probe["escaped"]:
+            d = np.linalg.norm(alone.eval(grid) - est.eval(grid), axis=1)
+            assert np.array_equal(probe["distances"], d)
+
+
+@pytest.mark.parametrize("name,params,x0s,t1", [
+    # beyond r* = 0.0625 every solution escapes; in-range starts complete
+    ("moving-sn", {"mu": 0.5, "r": 0.1}, [[0.3], [-1.0]], 30.0),
+    ("moving-sn", {"mu": 0.5, "r": 0.03}, [[0.4], [0.2]], 8.0),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2}, [[1.0, 0.5], [0.5, -0.2]], 8.0),
+])
+def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
+    # a lone member steps in Python floats and a batched one in arrays; a
+    # companion with a later end time keeps the batched members on arrays.
+    # The step cap is raised so that error control sets every step.
+    model = make_model(name, **params)
+    cfg = integrator_config(model, {"max_step": 100.0})
+
+    def run(x0s, t1s):
+        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
+                      cfg.escape_norm, cfg.min_step)
+        ids = np.arange(len(x0s))
+        batch.start(ids, np.array(x0s, dtype=float), 0.0, t1s, model.rate,
+                    cfg.max_step, record=True)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while batch.n_active:
+                batch.advance()
+        return [batch.trajectory(i) for i in ids]
+
+    companion = [0.0] * model.dimension
+    together = run(x0s + [companion], [t1] * len(x0s) + [10.0 * t1])
+    for x0, batched in zip(x0s, together):
+        (alone,) = run([x0], [t1])
+        assert alone.status == batched.status
+        assert np.array_equal(alone.times, batched.times)
+        assert np.array_equal(alone.states, batched.states)
+        assert np.array_equal(alone.coeffs, batched.coeffs)
+    assert {traj.status for traj in together[:-1]} <= {"completed", "escaped"}
+
+
+@pytest.mark.parametrize("name", ["drift", "moving-sn", "moving-cubic",
+                                  "moving-pitchfork", "bounded-ramp-sn"])
+def test_catalog_rhs_one_state_equals_stacked(name):
+    # the lone-member path calls rhs(x[d], t, r); batches call rhs(X, T, R)
+    model = make_model(name)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(16, model.dimension))
+    T = rng.uniform(-5.0, 5.0, 16)
+    R = rng.uniform(0.05, 1.0, 16)
+    stacked = model.rhs(X, T, R)
+    for i in range(16):
+        assert np.array_equal(model.rhs(X[i], float(T[i]), float(R[i])), stacked[i])
+

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tiplab.integrate import (
     COMPLETED,
@@ -153,52 +151,3 @@ class TestToleranceScaling:
             errs.append(abs(traj.final_state[0] - math.exp(-3.0)))
         assert errs[0] > errs[2]
         assert errs[2] < 1e-10
-
-
-class TestBlowUpVerification:
-    def test_growth_without_blowup_is_unverified(self):
-        # e^t crosses the escape norm at t = ln(1e6) but never blows up
-        f = VectorFieldHandle(1, lambda x, t, p: x)
-        traj = integrate(f, [1.0], 0.0, 200.0)
-        assert traj.status == ESCAPED
-        assert traj.bracket_verified is False
-        assert abs(traj.escape_bracket[0] - math.log(1e6)) < 1e-6
-
-    @pytest.mark.parametrize("sign,t1,t_sing", [(1.0, 5.0, 1.0), (-1.0, -5.0, -1.0)])
-    def test_true_blowup_is_verified(self, sign, t1, t_sing):
-        f = VectorFieldHandle(1, lambda x, t, p: sign * x * x)
-        traj = integrate(f, [1.0], 0.0, t1)
-        assert traj.status == ESCAPED
-        assert traj.bracket_verified is True
-        lo, hi = traj.escape_bracket
-        assert lo <= t_sing <= hi
-
-    def test_completed_run_carries_no_bracket(self):
-        traj = integrate(linear_decay(), [1.0], 0.0, 1.0)
-        assert traj.escape_bracket is None and traj.bracket_verified is None
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    mu=st.floats(0.25, 1.0),
-    # r = mu^2/4 + frac * mu^2/2 spans (mu^2/4, 3 mu^2/4]; frac starts at 1%
-    # so that the blow-up lies within a few hundred time units
-    frac=st.floats(0.01, 1.0),
-    x0=st.floats(-2.0, 2.0),
-    t0=st.floats(-5.0, 5.0),
-)
-def test_moving_sn_blowup_time_in_bracket(mu, frac, x0, t0):
-    # co-moving y = x - rt - mu/2 obeys dy/dt = -(y^2 + c) with c = r - mu^2/4
-    from tiplab.models import make_model
-
-    r = mu * mu / 4.0 + frac * mu * mu / 2.0
-    c = r - mu * mu / 4.0
-    y0 = x0 - r * t0 - mu / 2.0
-    t_sing = t0 + (math.atan(y0 / math.sqrt(c)) + math.pi / 2.0) / math.sqrt(c)
-    m = make_model("moving-sn", mu=mu, r=r)
-    traj = integrate(m.field, [x0], t0, t_sing + 10.0,
-                     IntegratorConfig(escape_norm=m.escape_norm))
-    assert traj.status == ESCAPED
-    assert traj.bracket_verified is True
-    lo, hi = traj.escape_bracket
-    assert lo <= t_sing <= hi

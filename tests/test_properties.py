@@ -1,0 +1,35 @@
+"""Property tests against the closed forms of the model catalog."""
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tiplab.integrate import ESCAPED, IntegratorConfig, integrate  # noqa: E402
+from tiplab.models import make_model  # noqa: E402
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.25, 1.0),
+    # r = mu^2/4 + frac * mu^2/2 spans (mu^2/4, 3 mu^2/4]; frac starts at 1%
+    # so that the blow-up lies within a few hundred time units
+    frac=st.floats(0.01, 1.0),
+    x0=st.floats(-2.0, 2.0),
+    t0=st.floats(-5.0, 5.0),
+)
+def test_moving_sn_blowup_time_in_bracket(mu, frac, x0, t0):
+    # co-moving y = x - rt - mu/2 obeys dy/dt = -(y^2 + c) with c = r - mu^2/4
+    r = mu * mu / 4.0 + frac * mu * mu / 2.0
+    c = r - mu * mu / 4.0
+    y0 = x0 - r * t0 - mu / 2.0
+    t_sing = t0 + (math.atan(y0 / math.sqrt(c)) + math.pi / 2.0) / math.sqrt(c)
+    m = make_model("moving-sn", mu=mu, r=r)
+    traj = integrate(m.field, [x0], t0, t_sing + 10.0,
+                     IntegratorConfig(escape_norm=m.escape_norm))
+    assert traj.status == ESCAPED
+    assert traj.bracket_verified is True
+    lo, hi = traj.escape_bracket
+    assert lo <= t_sing <= hi

@@ -9,7 +9,6 @@ from tiplab.tipping import (
     find_critical_rate,
     locality_probe,
     rate_diagnostics,
-    scan_rates,
     sweep,
     thread_count,
 )
@@ -130,15 +129,3 @@ class TestSweep:
     def test_default_single_thread(self, monkeypatch):
         monkeypatch.delenv("TIPLAB_THREADS", raising=False)
         assert thread_count(None) == 1
-
-
-class TestBracketProbes:
-    def test_each_bracket_counts_its_own_bisection(self):
-        # two mirrored brackets; each must report only its own probes, not
-        # the running total of the whole search
-        m = make_model("moving-cubic", mu=1.0)
-        report = find_critical_rate(m, r_range=(-1.2, 1.2), resolution=1e-2)
-        n_scan = len(scan_rates((-1.2, 1.2), 1e-2))
-        assert len(report.brackets) == 2
-        assert sum(b.probes for b in report.brackets) == report.probes - n_scan
-        assert all(0 < b.probes < 10 for b in report.brackets)
