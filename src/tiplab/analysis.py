@@ -10,7 +10,7 @@ emit the full distance trace alongside a three-way verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -51,12 +51,15 @@ INCONCLUSIVE = "inconclusive"
 
 def integrator_config(model: ModelSpec, overrides: Mapping | None = None) -> IntegratorConfig:
     """Integrator settings for a model: the defaults with the model's escape
-    norm, then any of the config fields given in ``overrides``."""
-    kw = {"escape_norm": model.escape_norm}
-    for key in ("abs_tol", "rel_tol", "max_step", "min_step", "escape_norm"):
-        if overrides and key in overrides:
-            kw[key] = float(overrides[key])
-    return IntegratorConfig(**kw)
+    norm, then the config fields given in ``overrides``; any other key in
+    ``overrides`` is a ValueError."""
+    kw = {"escape_norm": model.escape_norm, **(overrides or {})}
+    known = [f.name for f in fields(IntegratorConfig)]
+    unknown = sorted(set(kw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown integrator setting(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
+    return IntegratorConfig(**{key: float(v) for key, v in kw.items()})
 
 
 @dataclass
@@ -114,6 +117,10 @@ class PullbackJob:
         self.budget = budget
         self.max_lookback = max_lookback
         t_a, t_b = window
+        if not t_b > t_a:
+            raise ValueError("window must have positive width")
+        if not tol > 0:
+            raise ValueError("tol must be positive")
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
         self.grid = np.linspace(self.wa, self.wb, grid_points)
         self.outcomes: dict[int, Trajectory | None] = {}
@@ -302,18 +309,14 @@ def estimate_pullback(
     if sense not in ("attracting", "repelling"):
         raise ValueError("sense must be 'attracting' or 'repelling'")
     cfg = cfg or integrator_config(model)
-    t_a, t_b = float(window[0]), float(window[1])
-    if not t_b > t_a:
-        raise ValueError("window must have positive width")
-
     if anchor is None:
         pool = model.default_anchors if sense == "attracting" else model.repeller_anchors
         if not pool:
             raise TiplabError(f"model {model.name!r} has no default {sense} anchor")
         anchor = pool[0]
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
-    job = PullbackJob(model, anchor, sense, (t_a, t_b), tol, delta, budget,
-                      max_lookback, grid_points)
+    job = PullbackJob(model, anchor, sense, (float(window[0]), float(window[1])), tol,
+                      delta, budget, max_lookback, grid_points)
     run_pullbacks([job], cfg)
     return job.estimate
 
@@ -369,7 +372,9 @@ def forward_attraction_test(
         basin_radius = 0.25 * gap if gap else 0.1
 
     grid = np.linspace(start, t1, grid_points)
-    ref = np.vstack([curve(t) for t in grid])
+    # an estimate evaluates the whole grid in one call, a plain callable per point
+    ref = (candidate.eval(grid) if isinstance(candidate, PullbackEstimate)
+           else np.vstack([curve(t) for t in grid]))
     iq = int(0.75 * (grid_points - 1))
     # distances below the integrator's own error are indistinguishable noise
     floor = 100.0 * (cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(ref))))

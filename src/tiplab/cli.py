@@ -3,20 +3,24 @@
 Subcommands: simulate, pullback, qse, tip, sweep, figure.  Options may come
 from a JSON config file (--config) with shape
 {"model": ..., "params": {...}, "analysis": {...}, "output": {...}};
-explicit flags override config values.  Exit codes: 0 success, 1 the
-analysis ran but could not produce a conclusive result, 2 usage or
-configuration error.
+explicit flags override config values.  An option of several numbers is a
+comma string ("0,4") as a flag, and a comma string or a JSON list in the
+config.  ``analysis.integrator`` may set ``abs_tol``, ``rel_tol``,
+``max_step``, ``min_step`` and ``escape_norm``.  Exit codes: 0 success, 1
+the analysis ran but could not produce a conclusive result, 2 usage or
+configuration error, including any invalid option value.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import analysis, models, tipping
-from .integrate import integrate
+from .integrate import IntegratorConfig, integrate
 from .models import ModelSpec, TiplabError, make_model
 
 __all__ = ["main"]
@@ -35,34 +39,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
+def _write(out, fmt: str, header: list[str], rows, payload) -> None:
+    """Write ``rows`` as CSV under ``header``, or ``payload`` as JSON, to the
+    file ``out`` or, when it is None, to stdout."""
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
+        text = json.dumps(payload, indent=2) + "\n"
+    if out is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _parse_floats(text: str, n: int | None = None) -> list[float]:
+        return
     try:
-        vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from None
-    if n is not None and len(vals) != n:
-        raise CliError(f"expected {n} comma-separated numbers, got {text!r}")
-    return vals
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from None
 
 
 def _coerce(text: str):
@@ -86,6 +78,9 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
+    for section in ("params", "analysis", "output"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise CliError(f"config {section!r} must be a JSON object")
     return cfg
 
 
@@ -105,11 +100,41 @@ def _build_model(args, config: dict) -> ModelSpec:
         raise CliError(str(exc)) from None
 
 
-def _analysis_opt(args, config: dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return config.get("analysis", {}).get(key, default)
+def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = None):
+    """One analysis option: the flag, else ``config["analysis"][key]``, else
+    ``default``.  ``kind`` converts a single number.  With a count ``n`` (0
+    for any count) the option is a list of numbers: a comma string is parsed,
+    and a list or a bare number must hold ``n`` numbers.  Numbers must be
+    finite."""
+    raw = getattr(args, key.replace("-", "_"), None)
+    if raw is None:
+        raw = config.get("analysis", {}).get(key, default)
+    if raw is None or (kind is None and n is None):
+        return raw
+    try:
+        if n is None:
+            vals = [kind(raw)]
+        elif isinstance(raw, str):
+            vals = [float(v) for v in raw.split(",") if v.strip() != ""]
+        else:
+            vals = list(raw) if isinstance(raw, (list, tuple)) else [raw]
+        if (n in (None, 0, len(vals))
+                and all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals)):
+            return vals[0] if n is None else vals
+    except (TypeError, ValueError):
+        pass
+    want = "a finite number" if n is None else f"{n or 'comma-separated'} finite numbers"
+    raise CliError(f"{key} expects {want}, got {raw!r}")
+
+
+def _integrator(model: ModelSpec, config: dict) -> IntegratorConfig:
+    """The model's integrator settings with the overrides in
+    ``config["analysis"]["integrator"]``."""
+    overrides = config.get("analysis", {}).get("integrator", {})
+    if not (isinstance(overrides, dict)
+            and all(isinstance(v, (int, float)) for v in overrides.values())):
+        raise CliError("analysis.integrator must map setting names to numbers")
+    return analysis.integrator_config(model, overrides)
 
 
 def _output_target(args, config: dict):
@@ -127,174 +152,118 @@ def _output_target(args, config: dict):
 def _cmd_simulate(args, config) -> int:
     model = _build_model(args, config)
     out, fmt = _output_target(args, config)
-    t0 = float(_analysis_opt(args, config, "t0", 0.0))
-    t1 = float(_analysis_opt(args, config, "t1", 4.0))
-    x0_raw = _analysis_opt(args, config, "x0")
-    if x0_raw is None:
+    t0 = _opt(args, config, "t0", 0.0, float)
+    t1 = _opt(args, config, "t1", 4.0, float)
+    n = _opt(args, config, "samples", 201, int)
+    x0 = _opt(args, config, "x0", n=model.dimension)
+    if x0 is None:
         x0 = model.anchor_state(model.default_anchors[0], t0)
-    elif isinstance(x0_raw, str):
-        x0 = np.array(_parse_floats(x0_raw, model.dimension))
-    else:
-        x0 = np.atleast_1d(np.asarray(x0_raw, dtype=float))
-    cfg = analysis.integrator_config(
-        model, config.get("analysis", {}).get("integrator"))
+    cfg = _integrator(model, config)
+    header = ["t"] + [f"x{i}" for i in range(model.dimension)]
+    payload = {"model": model.name, "params": dict(model.params)}
 
     if t1 == t0:
         # zero-length time range: report an empty sample section
-        if fmt == "csv":
-            _write_csv(out, ["t"] + [f"x{i}" for i in range(model.dimension)], [])
-        else:
-            _write_json(out, {
-                "model": model.name, "params": dict(model.params),
-                "status": "completed", "samples": {"t": [], "x": []},
-            })
+        _write(out, fmt, header, [],
+               {**payload, "status": "completed", "samples": {"t": [], "x": []}})
         return 0
 
-    n = int(_analysis_opt(args, config, "samples", 201))
     traj = integrate(model.field, x0, t0, t1, cfg)
-    grid = np.linspace(traj.t0, traj.t_end, n)
-    states = traj.eval(grid)
-    if fmt == "csv":
-        rows = [[t, *row] for t, row in zip(grid, states)]
-        _write_csv(out, ["t"] + [f"x{i}" for i in range(model.dimension)], rows)
+    if len(traj.times) == 1:
+        # the start state is already past the escape norm
+        grid, states = traj.times, traj.states
     else:
-        _write_json(out, {
-            "model": model.name,
-            "params": dict(model.params),
-            "status": traj.status,
-            "escape_bracket": list(traj.escape_bracket) if traj.escape_bracket else None,
-            "samples": {"t": grid.tolist(), "x": states.tolist()},
-        })
+        grid = np.linspace(traj.t0, traj.t_end, n)
+        states = traj.eval(grid)
+    _write(out, fmt, header, [[t, *row] for t, row in zip(grid, states)], {
+        **payload,
+        "status": traj.status,
+        "escape_bracket": list(traj.escape_bracket) if traj.escape_bracket else None,
+        "samples": {"t": grid.tolist(), "x": states.tolist()},
+    })
     return 0
 
 
 def _cmd_pullback(args, config) -> int:
     model = _build_model(args, config)
     out, fmt = _output_target(args, config)
-    window = _analysis_opt(args, config, "window", (0.0, 4.0))
-    if isinstance(window, str):
-        window = tuple(_parse_floats(window, 2))
-    sense = _analysis_opt(args, config, "sense", "attracting")
-    tol = float(_analysis_opt(args, config, "tol", 1e-8))
-    anchor = _analysis_opt(args, config, "anchor")
-    if isinstance(anchor, str):
-        anchor = np.array(_parse_floats(anchor, model.dimension))
-    cfg = analysis.integrator_config(
-        model, config.get("analysis", {}).get("integrator"))
+    sense = _opt(args, config, "sense", "attracting")
     est = analysis.estimate_pullback(
-        model, window=tuple(window), anchor=anchor, sense=sense, tol=tol, cfg=cfg
+        model, window=tuple(_opt(args, config, "window", (0.0, 4.0), n=2)),
+        anchor=_opt(args, config, "anchor", n=model.dimension), sense=sense,
+        tol=_opt(args, config, "tol", 1e-8, float), cfg=_integrator(model, config),
     )
-    if fmt == "csv":
-        rows = [[t, *row] for t, row in zip(est.times, est.states)]
-        _write_csv(out, ["t"] + [f"x{i}" for i in range(model.dimension)], rows)
-    else:
-        _write_json(out, {
-            "model": model.name,
-            "params": dict(model.params),
-            "sense": sense,
-            "status": est.status,
-            "anchor": est.anchor.tolist(),
-            "start_times": est.start_times,
-            "convergence_gaps": est.convergence_gaps,
-            "samples": {"t": est.times.tolist(), "x": est.states.tolist()},
-        })
+    header = ["t"] + [f"x{i}" for i in range(model.dimension)]
+    _write(out, fmt, header, [[t, *row] for t, row in zip(est.times, est.states)], {
+        "model": model.name,
+        "params": dict(model.params),
+        "sense": sense,
+        "status": est.status,
+        "anchor": est.anchor.tolist(),
+        "start_times": est.start_times,
+        "convergence_gaps": est.convergence_gaps,
+        "samples": {"t": est.times.tolist(), "x": est.states.tolist()},
+    })
     return 0 if est.status != analysis.NOT_CONVERGED else 1
 
 
 def _cmd_qse(args, config) -> int:
     model = _build_model(args, config)
     out, fmt = _output_target(args, config)
-    sg = _analysis_opt(args, config, "s-grid", "0,4,41")
-    if isinstance(sg, str):
-        a, b, n = _parse_floats(sg, 3)
-    else:
-        a, b, n = sg
+    a, b, n = _opt(args, config, "s-grid", "0,4,41", n=3)
     branches = analysis.qse_continuation(model, s_grid=np.linspace(a, b, int(n)))
-    if fmt == "csv":
-        rows = []
-        for bi, br in enumerate(branches):
-            for smp in br.samples:
-                rows.append([bi, smp.s, *smp.x, smp.stability])
-        _write_csv(out, ["branch", "s"] + [f"x{i}" for i in range(model.dimension)]
-                   + ["stability"], rows)
-    else:
-        _write_json(out, {
-            "model": model.name,
-            "params": dict(model.params),
-            "branches": [
-                {
-                    "s": br.s_values.tolist(),
-                    "x": br.states.tolist(),
-                    "stability": br.stability,
-                    "flagged": br.flagged,
-                }
-                for br in branches
-            ],
-        })
+    header = ["branch", "s"] + [f"x{i}" for i in range(model.dimension)] + ["stability"]
+    rows = [[bi, smp.s, *smp.x, smp.stability]
+            for bi, br in enumerate(branches) for smp in br.samples]
+    _write(out, fmt, header, rows, {
+        "model": model.name,
+        "params": dict(model.params),
+        "branches": [
+            {
+                "s": br.s_values.tolist(),
+                "x": br.states.tolist(),
+                "stability": br.stability,
+                "flagged": br.flagged,
+            }
+            for br in branches
+        ],
+    })
     return 0
 
 
 def _cmd_tip(args, config) -> int:
     model = _build_model(args, config)
     out, fmt = _output_target(args, config)
-    rr = _analysis_opt(args, config, "r-range", "0.001,1")
-    if isinstance(rr, str):
-        rr = _parse_floats(rr, 2)
-    resolution = float(_analysis_opt(args, config, "resolution", 1e-4))
-    window = _analysis_opt(args, config, "window", (0.0, 4.0))
-    if isinstance(window, str):
-        window = tuple(_parse_floats(window, 2))
-    cfg = analysis.integrator_config(
-        model, config.get("analysis", {}).get("integrator"))
+    lo, hi = _opt(args, config, "r-range", "0.001,1", n=2)
     report = tipping.find_critical_rate(
-        model, r_range=(rr[0], rr[1]), resolution=resolution,
-        window=tuple(window), cfg=cfg,
+        model, r_range=(lo, hi), resolution=_opt(args, config, "resolution", 1e-4, float),
+        window=tuple(_opt(args, config, "window", (0.0, 4.0), n=2)),
+        cfg=_integrator(model, config),
     )
-    if fmt == "csv":
-        rows = [
-            [b.lower, b.upper, b.width, b.classification, int(b.flagged)]
-            for b in report.brackets
-        ]
-        _write_csv(out, ["lower", "upper", "width", "classification", "flagged"], rows)
-    else:
-        _write_json(out, report.to_dict())
+    rows = [[b.lower, b.upper, b.width, b.classification, int(b.flagged)]
+            for b in report.brackets]
+    _write(out, fmt, ["lower", "upper", "width", "classification", "flagged"], rows,
+           report.to_dict())
     return 1 if report.flagged else 0
 
 
 def _cmd_sweep(args, config) -> int:
     model = _build_model(args, config)
     out, fmt = _output_target(args, config)
-    rates = _analysis_opt(args, config, "rates")
+    rates = _opt(args, config, "rates", n=0)
     if rates is None:
-        rr = _analysis_opt(args, config, "r-range", "0.01,1,10")
-        if isinstance(rr, str):
-            a, b, n = _parse_floats(rr, 3)
-        else:
-            a, b, n = rr
+        a, b, n = _opt(args, config, "r-range", "0.01,1,10", n=3)
         rates = np.linspace(a, b, int(n)).tolist()
-    elif isinstance(rates, str):
-        rates = _parse_floats(rates)
-    window = _analysis_opt(args, config, "window", (0.0, 4.0))
-    if isinstance(window, str):
-        window = tuple(_parse_floats(window, 2))
-    cfg = analysis.integrator_config(
-        model, config.get("analysis", {}).get("integrator"))
     results = tipping.sweep(
-        model, rates, threads=args.threads, window=tuple(window), cfg=cfg
+        model, rates, threads=args.threads,
+        window=tuple(_opt(args, config, "window", (0.0, 4.0), n=2)),
+        cfg=_integrator(model, config),
     )
-    if fmt == "csv":
-        rows = [
-            [s["rate"], s["n_attractors"], len(s["escaped_anchors"]),
-             "" if s["tipped"] is None else int(s["tipped"])]
-            for s in results
-        ]
-        _write_csv(out, ["r", "n_attractors", "escaped", "tipped"], rows)
-    else:
-        _write_json(out, {"model": model.name, "params": dict(model.params),
-                          "sweep": results})
-    if any(s["tipped"] is None for s in results):
-        return 1
-    return 0
+    rows = [[s["rate"], s["n_attractors"], len(s["escaped_anchors"]),
+             "" if s["tipped"] is None else int(s["tipped"])] for s in results]
+    _write(out, fmt, ["r", "n_attractors", "escaped", "tipped"], rows,
+           {"model": model.name, "params": dict(model.params), "sweep": results})
+    return 1 if any(s["tipped"] is None for s in results) else 0
 
 
 def _figure_rows(which: str):
@@ -363,17 +332,15 @@ def _figure_rows(which: str):
 
 
 def _cmd_figure(args, config) -> int:
-    which = args.which or config.get("analysis", {}).get("which")
+    which = _opt(args, config, "which")
     if not which:
         raise CliError("figure needs --which figN")
     out, fmt = _output_target(args, config)
     header, rows = _figure_rows(which)
-    if fmt == "json":
-        _write_json(out, {"figure": which, "columns": header,
-                          "rows": [[float(v) if not isinstance(v, str) else v
-                                    for v in row] for row in rows]})
-    else:
-        _write_csv(out, header, rows)
+    _write(out, fmt, header, rows, {
+        "figure": which, "columns": header,
+        "rows": [[float(v) if not isinstance(v, str) else v for v in row] for row in rows],
+    })
     return 0
 
 
@@ -454,7 +421,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # the library raises ValueError for an argument value it rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TiplabError as exc:

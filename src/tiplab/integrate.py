@@ -671,14 +671,15 @@ def integrate(
     t0: float,
     t1: float,
     cfg: IntegratorConfig | None = None,
-    dense: bool = True,
 ) -> Trajectory:
     """Integrate dx/dt = f(x, t) from (x0, t0) to t1 (forward or backward).
 
     Terminates early with status ``escaped`` when the state norm reaches
     ``cfg.escape_norm`` (with a blow-up time bracket) or ``step_underflow``
     when step control drives the step below ``cfg.min_step`` without an
-    escape event.
+    escape event.  A start state already past the escape norm gives a
+    one-sample ``escaped`` trajectory with bracket (t0, t0) and no dense
+    output.
     """
     cfg = cfg or IntegratorConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -702,6 +703,4 @@ def integrate(
         traj.escape_bracket, traj.bracket_verified = _escape_bracket(
             rhs, traj, cfg, direction
         )
-    if not dense:
-        traj.coeffs = None
     return traj

@@ -334,6 +334,8 @@ def find_critical_rate(
     lo, hi = float(r_range[0]), float(r_range[1])
     if not hi > lo:
         raise ValueError("r_range must be increasing")
+    if not resolution > 0:
+        raise ValueError("resolution must be positive")
     scan = _scan_rates(r_range, resolution, scan_per_decade)
     cfg = cfg or integrator_config(model)
 

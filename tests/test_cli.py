@@ -196,3 +196,93 @@ class TestConfigAndErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv,analysis", [
+        (["pullback", "--model", "drift", "--window", "2,1"], None),
+        (["tip", "--model", "drift", "--window", "2,1", "--r-range", "0.5,2"], None),
+        (["sweep", "--model", "drift", "--window", "2,1", "--rates", "0.5"], None),
+        (["tip", "--model", "moving-sn", "--r-range", "1,0.5"], None),
+        (["tip", "--model", "moving-sn", "--r-range", "0.00001,0.00002"], None),
+        (["simulate", "--model", "drift", "--samples", "-1"], None),
+        (["simulate", "--model", "drift"], {"integrator": {"abs_tol": 0}}),
+        (["simulate", "--model", "drift"], {"integrator": {"rtol": 1e-3}}),
+        (["simulate", "--model", "drift"], {"integrator": {"max_step": "big"}}),
+        (["pullback", "--model", "drift"], {"window": [0.0, 1.0, 2.0]}),
+        (["simulate", "--model", "moving-pitchfork"], {"x0": [0.5]}),
+        (["simulate", "--model", "drift"], {"t0": [1.0]}),
+        (["simulate", "--model", "drift", "--t1", "inf"], None),
+        (["qse", "--model", "drift", "--s-grid", "0,4,inf"], None),
+        (["sweep", "--model", "drift", "--rates", "0.5,nan"], None),
+        (["tip", "--model", "drift", "--r-range", "0.5,2", "--resolution", "0"], None),
+        (["pullback", "--model", "drift", "--tol", "0"], None),
+    ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
+            "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
+            "integrator-type", "config-window-length", "config-x0-length", "config-t0",
+            "t1-infinite", "s-grid-count-infinite", "rates-nan", "resolution", "tol"])
+    def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
+        if analysis is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"analysis": analysis}))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "figure", "--which", "fig4",
+                           "--out", str(tmp_path / "missing" / "fig4.json"))
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+class TestStartPastEscapeNorm:
+    def test_json_reports_escape_at_t0(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "moving-sn", "--x0", "2e6",
+                           "--t0", "-1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "escaped"
+        assert payload["escape_bracket"] == [-1.0, -1.0]
+        assert payload["samples"] == {"t": [-1.0], "x": [[2e6]]}
+
+    def test_csv_has_the_one_sample(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--model", "moving-sn", "--x0", "2e6",
+                           "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["t,x0", "0,2000000"]
+
+
+# Options of several numbers, as comma-string flags and as JSON config lists.
+# The lists hold floats: the sweep echoes its window as given, so a JSON
+# integer prints without the ".0".
+LIST_OPTIONS = {
+    "simulate-1d": (["simulate", "--model", "moving-sn", "--t1", "1", "--samples", "5"],
+                    {"x0": [0.2]}),
+    "simulate-2d": (["simulate", "--model", "moving-pitchfork", "--t1", "1",
+                     "--samples", "5", "--format", "csv"], {"x0": [0.5, 0.2]}),
+    "pullback": (["pullback", "--model", "moving-sn", "--format", "csv"],
+                 {"window": [0.0, 2.0], "anchor": [0.3]}),
+    "qse": (["qse", "--model", "moving-sn"], {"s-grid": [0.0, 2.0, 5.0]}),
+    "tip": (["tip", "--model", "drift", "--resolution", "0.001"],
+            {"r-range": [0.5, 2.0], "window": [0.0, 1.0]}),
+    "sweep-rates": (["sweep", "--model", "drift"],
+                    {"rates": [0.1, 0.5], "window": [0.0, 2.0]}),
+    "sweep-r-range": (["sweep", "--model", "drift", "--format", "csv"],
+                      {"r-range": [0.1, 0.5, 3.0]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_OPTIONS))
+def test_config_lists_match_flags(capsys, tmp_path, name):
+    base, options = LIST_OPTIONS[name]
+    flags = [arg for key, vals in options.items()
+             for arg in (f"--{key}", ",".join(repr(v) for v in vals))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"analysis": options}))
+    by_flags = run(capsys, *base, *flags)
+    by_config = run(capsys, *base, "--config", str(cfg))
+    assert by_flags[0] == 0
+    assert by_config == by_flags
