@@ -117,6 +117,8 @@ class PullbackJob:
         self.budget = budget
         self.max_lookback = max_lookback
         t_a, t_b = window
+        if not (math.isfinite(t_a) and math.isfinite(t_b)):
+            raise ValueError("window must be finite")
         if not t_b > t_a:
             raise ValueError("window must have positive width")
         if not tol > 0:

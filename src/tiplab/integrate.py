@@ -687,6 +687,8 @@ def integrate(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({field.dimension},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
     direction = 1.0 if t1 > t0 else -1.0

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def _diagnose(jobs: list[PullbackJob], window: tuple[float, float]) -> RateDiagn
         tipped = n_att < len(jobs)
     return RateDiagnostics(
         rate=jobs[0].model.rate,
-        window=window,
+        window=(float(window[0]), float(window[1])),
         estimates=estimates,
         groups=groups,
         n_attractors=n_att,
@@ -311,6 +311,123 @@ def _scan_rates(
     return np.concatenate(pieces)
 
 
+# Bisection levels decided per round: up to 2**3 - 1 = 7 midpoints of each
+# open bracket in one batch.  A batch takes as long as its deepest lookback
+# doubling, so deciding more levels at once saves few rounds and pays for
+# midpoints the walk never reads (six levels ran slower on moving-cubic).
+_ROUND_DEPTH = 3
+
+
+def _probe_rates(
+    model: ModelSpec,
+    rates: Sequence[float],
+    anchors: Sequence | None,
+    window: tuple[float, float],
+    tol: float,
+    max_lookback: float,
+    cfg: IntegratorConfig,
+) -> list[bool | None]:
+    """The tipping predicate at each rate, decided in one batch.
+
+    Inconclusive rates are retried together with a relaxed convergence
+    tolerance and a four-fold lookback, reusing what was integrated; a rate
+    still undecidable after its retry reads None.
+    """
+    jobs = _rate_jobs(model, rates, anchors, window, tol, max_lookback)
+    run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
+    verdicts = [_diagnose(per_rate, window).tipped for per_rate in jobs]
+    retry = [i for i, v in enumerate(verdicts) if v is None]
+    for i in retry:
+        for job in jobs[i]:
+            job.relax(tol * 100.0, max_lookback * 4.0)
+    run_pullbacks([job for i in retry for job in jobs[i]], cfg)
+    for i in retry:
+        verdicts[i] = _diagnose(jobs[i], window).tipped
+    return verdicts
+
+
+@dataclass
+class _Walk:
+    """One bracket's bisection: its current interval and what it has read."""
+    a: float
+    b: float
+    va: bool
+    nudges: int = 0
+    probes: int = 0
+    flagged: bool = False
+
+
+def _midpoints(a: float, b: float, resolution: float, depth: int) -> list[float]:
+    """The midpoints of the next ``depth`` bisection levels below (a, b),
+    leaving out every interval no wider than ``resolution``."""
+    if depth == 0 or not b - a > resolution:
+        return []
+    m = 0.5 * (a + b)
+    return [m, *_midpoints(a, m, resolution, depth - 1),
+            *_midpoints(m, b, resolution, depth - 1)]
+
+
+def _bisect(
+    brackets: Sequence[tuple[float, float]],
+    resolution: float,
+    verdicts: dict[float, bool | None],
+    consulted: set[float],
+    decide: Callable[[list[float]], list[bool | None]],
+) -> list[_Walk]:
+    """Bisect each bracket (a, b) down to ``resolution``, in rounds.
+
+    ``verdicts`` holds the predicate at every rate decided so far, both ends
+    of each bracket included; ``decide(rates)`` returns it at new rates, as
+    one batch.  A round decides the midpoints of the next ``_ROUND_DEPTH``
+    levels of every bracket whose next midpoint is undecided, all in one
+    call.  Each bracket then walks through those verdicts as a bisection
+    probing one midpoint at a time would: it keeps the half whose ends
+    disagree.  At an undecidable midpoint it decides a point 40% (then 60%,
+    alternating) of the way across on its own and moves there; when that is
+    undecidable too, the bracket is flagged and stops.  Only rates a walk
+    reads join ``consulted`` and count towards its ``probes``.
+    """
+    walks = [_Walk(a, b, verdicts[a]) for a, b in brackets]
+
+    def read(w: _Walk, r: float) -> bool | None:
+        if r not in verdicts:
+            (verdicts[r],) = decide([r])
+        if r not in consulted:
+            consulted.add(r)
+            w.probes += 1
+        return verdicts[r]
+
+    def walk(w: _Walk) -> bool:
+        """Advance through decided midpoints; False at an undecided one."""
+        while w.b - w.a > resolution:
+            mid = 0.5 * (w.a + w.b)
+            if mid not in verdicts:
+                return False
+            vm = read(w, mid)
+            if vm is None:
+                # step the probe off the undecidable point
+                mid = w.a + (0.4 if w.nudges % 2 == 0 else 0.6) * (w.b - w.a)
+                vm = read(w, mid)
+                w.nudges += 1
+                if vm is None:
+                    w.flagged = True
+                    break
+            if vm == w.va:
+                w.a = mid
+            else:
+                w.b = mid
+        return True
+
+    pending = [w for w in walks if not walk(w)]
+    while pending:
+        rates = [r for w in pending
+                 for r in _midpoints(w.a, w.b, resolution, _ROUND_DEPTH)
+                 if r not in verdicts]
+        verdicts.update(zip(rates, decide(rates)))
+        pending = [w for w in pending if not walk(w)]
+    return walks
+
+
 def find_critical_rate(
     model: ModelSpec,
     r_range: tuple[float, float] = (1e-3, 1.0),
@@ -325,97 +442,58 @@ def find_critical_rate(
     """Bracket every critical rate in a range by scan + bisection.
 
     The scan places ``scan_per_decade`` log-spaced probes per decade of |r|
-    (both signs when the range straddles zero); each flip of the tipping
-    predicate between neighboring probes seeds a bisection run down to
-    ``resolution``.  Inconclusive probes are retried with a relaxed
-    convergence tolerance and a four-fold lookback; if still undecidable
-    the affected bracket is flagged instead of silently narrowed.
+    (both signs when the range straddles zero) and decides them in one
+    batch; each flip of the tipping predicate between neighboring probes
+    seeds a bisection down to ``resolution``.  The bisection runs in
+    rounds: one batch decides the midpoints of the next three levels of
+    every open bracket, and each bracket then keeps the half whose ends
+    disagree, level by level, as a one-midpoint-at-a-time bisection would.
+    Inconclusive probes are retried with a relaxed convergence tolerance
+    and a four-fold lookback.  An undecidable midpoint is stepped off once
+    to a nearby point probed alone; if that is undecidable too, the bracket
+    is flagged instead of silently narrowed.  ``probes`` and ``flagged``
+    count only the rates the scan and the bisection read: a midpoint
+    decided ahead but never reached adds nothing to either.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("r_range must be finite")
     if not hi > lo:
         raise ValueError("r_range must be increasing")
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    scan = _scan_rates(r_range, resolution, scan_per_decade)
+    scan = [float(r) for r in _scan_rates(r_range, resolution, scan_per_decade)]
     cfg = cfg or integrator_config(model)
 
-    cache: dict[float, bool | None] = {}
-    any_flag = False
+    def decide(rates: list[float]) -> list[bool | None]:
+        return _probe_rates(model, rates, anchors, window, tol, max_lookback, cfg)
 
-    def probe(rates: Sequence[float]) -> None:
-        """Decide the tipping predicate at new rates, in one batch.
-
-        Inconclusive rates are retried together with a relaxed convergence
-        tolerance and a four-fold lookback, reusing what was integrated.
-        """
-        nonlocal any_flag
-        jobs = _rate_jobs(model, rates, anchors, window, tol, max_lookback)
-        run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
-        retry = []
-        for r, per_rate in zip(rates, jobs):
-            cache[r] = _diagnose(per_rate, window).tipped
-            if cache[r] is None:
-                retry.append((r, per_rate))
-        for _, per_rate in retry:
-            for job in per_rate:
-                job.relax(tol * 100.0, max_lookback * 4.0)
-        run_pullbacks([job for _, per_rate in retry for job in per_rate], cfg)
-        for r, per_rate in retry:
-            cache[r] = _diagnose(per_rate, window).tipped
-            if cache[r] is None:
-                any_flag = True
-
-    def predicate(r: float) -> bool | None:
-        if r not in cache:
-            probe([r])
-        return cache[r]
-
-    probe([float(r) for r in scan])
-    verdicts = [cache[float(r)] for r in scan]
+    verdicts = dict(zip(scan, decide(scan)))
 
     raw_brackets: list[tuple[float, float]] = []
-    last_idx = None
-    for i, v in enumerate(verdicts):
-        if v is None:
+    last = None
+    for r in scan:
+        if verdicts[r] is None:
             continue
-        if last_idx is not None and verdicts[last_idx] != v:
-            raw_brackets.append((float(scan[last_idx]), float(scan[i])))
-        last_idx = i
+        if last is not None and verdicts[last] != verdicts[r]:
+            raw_brackets.append((last, r))
+        last = r
 
-    brackets = []
-    for a, b in raw_brackets:
-        before = len(cache)
-        flagged = False
-        va = predicate(a)
-        nudges = 0
-        while b - a > resolution:
-            mid = 0.5 * (a + b)
-            vm = predicate(mid)
-            if vm is None:
-                # step the probe off the undecidable point
-                mid = a + (0.4 if nudges % 2 == 0 else 0.6) * (b - a)
-                vm = predicate(mid)
-                nudges += 1
-                if vm is None:
-                    flagged = True
-                    break
-            if vm == va:
-                a = mid
-            else:
-                b = mid
-        cls = _classify(model, a, b)
-        brackets.append(
-            CriticalRateBracket(a, b, cls, flagged=flagged, probes=len(cache) - before)
-        )
-
+    consulted = set(scan)
+    walks = _bisect(raw_brackets, resolution, verdicts, consulted, decide)
+    brackets = [
+        CriticalRateBracket(w.a, w.b, _classify(model, w.a, w.b), flagged=w.flagged,
+                            probes=w.probes)
+        for w in walks
+    ]
     return TippingReport(
         model=model.name,
         params=dict(model.params),
         r_range=(lo, hi),
         resolution=resolution,
         brackets=brackets,
-        probes=len(cache),
-        flagged=any_flag or any(b.flagged for b in brackets),
+        probes=len(consulted),
+        flagged=any(verdicts[r] is None for r in consulted),
     )
 
 

@@ -1,5 +1,6 @@
 """Batched integration: a member's result does not depend on the batch it
-runs in, and a relaxed retry reuses the doublings already integrated."""
+runs in, a relaxed retry reuses the doublings already integrated, and the
+bisection rounds return what a one-probe-per-midpoint bisection returns."""
 import numpy as np
 import pytest
 
@@ -10,8 +11,17 @@ from tiplab.analysis import (
     run_pullbacks,
 )
 from tiplab.integrate import Batch, integrate
+from tiplab import tipping
 from tiplab.models import make_model
-from tiplab.tipping import _rate_jobs, _scan_rates
+from tiplab.tipping import (
+    CriticalRateBracket,
+    TippingReport,
+    _classify,
+    _probe_rates,
+    _rate_jobs,
+    _scan_rates,
+    find_critical_rate,
+)
 
 
 def assert_same_estimate(a, b):
@@ -141,3 +151,105 @@ def test_catalog_rhs_one_state_equals_stacked(name):
     for i in range(16):
         assert np.array_equal(model.rhs(X[i], float(T[i]), float(R[i])), stacked[i])
 
+
+
+def sequential_report(model, r_range, resolution, decide):
+    """The search as one probe per bisection midpoint: the reference that
+    find_critical_rate's rounds must reproduce exactly."""
+    scan = [float(r) for r in _scan_rates(r_range, resolution)]
+    cache = {}
+
+    def predicate(r):
+        if r not in cache:
+            (cache[r],) = decide([r])
+        return cache[r]
+
+    cache.update(zip(scan, decide(scan)))
+    raw, last = [], None
+    for r in scan:
+        if cache[r] is None:
+            continue
+        if last is not None and cache[last] != cache[r]:
+            raw.append((last, r))
+        last = r
+
+    brackets = []
+    for a, b in raw:
+        before, flagged, nudges = len(cache), False, 0
+        va = predicate(a)
+        while b - a > resolution:
+            mid = 0.5 * (a + b)
+            vm = predicate(mid)
+            if vm is None:
+                mid = a + (0.4 if nudges % 2 == 0 else 0.6) * (b - a)
+                vm = predicate(mid)
+                nudges += 1
+                if vm is None:
+                    flagged = True
+                    break
+            if vm == va:
+                a = mid
+            else:
+                b = mid
+        brackets.append(CriticalRateBracket(a, b, _classify(model, a, b), flagged,
+                                            len(cache) - before))
+    return TippingReport(model.name, dict(model.params), r_range, resolution, brackets,
+                         len(cache), any(v is None for v in cache.values())).to_dict()
+
+
+@pytest.mark.parametrize("name,params,r_range,resolution,batches", [
+    # the crit-sn benchmark's seed-0 inputs: one scan batch, two rounds
+    ("moving-sn", {"mu": 0.5}, (0.1 * 0.0625, 3.0 * 0.0625), 1e-4, 3),
+    # two mirrored brackets bisected in the same rounds
+    ("moving-cubic", {"mu": 1.0}, (-1.2, 1.2), 1e-2, 2),
+])
+def test_rounds_match_sequential_bisection(monkeypatch, name, params, r_range, resolution,
+                                           batches):
+    model = make_model(name, **params)
+    cfg = integrator_config(model)
+    calls = []
+
+    def counted(*args):
+        calls.append(list(args[1]))
+        return _probe_rates(*args)
+
+    monkeypatch.setattr(tipping, "_probe_rates", counted)
+    report = find_critical_rate(model, r_range=r_range, resolution=resolution).to_dict()
+    assert len(calls) == batches
+    assert calls[0] == [float(r) for r in _scan_rates(r_range, resolution)]
+    decide = lambda rates: _probe_rates(model, rates, None, (0.0, 4.0), 1e-6, 4096.0, cfg)
+    assert report == sequential_report(model, r_range, resolution, decide)
+
+
+@pytest.mark.parametrize("undecidable,flagged,bracket_flagged", [
+    # a speculative midpoint on the side the walk leaves: decided, never read
+    ("far", False, False),
+    # the first midpoint: the walk nudges off it to a point probed alone
+    ("mid", True, False),
+    # the nudged point too: the bracket stops there, flagged
+    ("mid+nudge", True, True),
+])
+def test_rounds_read_only_what_the_walk_reaches(monkeypatch, undecidable, flagged,
+                                                bracket_flagged):
+    model = make_model("moving-sn", mu=0.5)
+    r_range, resolution, rstar = (0.01, 0.2), 1e-3, 0.0625
+    scan = _scan_rates(r_range, resolution)
+    i = int(np.searchsorted(scan, rstar))
+    a, b = float(scan[i - 1]), float(scan[i])
+    mid, nudge = 0.5 * (a + b), a + 0.4 * (b - a)
+    far = 0.5 * (mid + b) if rstar < mid else 0.5 * (a + mid)
+    bad = {"far": {far}, "mid": {mid}, "mid+nudge": {mid, nudge}}[undecidable]
+    verdicts = lambda rates: [None if r in bad else r > rstar for r in rates]
+    calls = []
+
+    def stub(model, rates, *rest):
+        calls.append(list(rates))
+        return verdicts(rates)
+
+    monkeypatch.setattr(tipping, "_probe_rates", stub)
+    report = find_critical_rate(model, r_range=r_range, resolution=resolution).to_dict()
+    assert report == sequential_report(model, r_range, resolution, verdicts)
+    assert report["flagged"] is flagged
+    assert report["brackets"][0]["flagged"] is bracket_flagged
+    assert {mid, far} <= set(calls[1])
+    assert ([nudge] in calls) is (undecidable != "far")

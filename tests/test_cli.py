@@ -256,8 +256,8 @@ class TestStartPastEscapeNorm:
 
 
 # Options of several numbers, as comma-string flags and as JSON config lists.
-# The lists hold floats: the sweep echoes its window as given, so a JSON
-# integer prints without the ".0".
+# The lists hold floats; test_config_integer_window_matches_flag covers a JSON
+# integer list.
 LIST_OPTIONS = {
     "simulate-1d": (["simulate", "--model", "moving-sn", "--t1", "1", "--samples", "5"],
                     {"x0": [0.2]}),
@@ -286,3 +286,16 @@ def test_config_lists_match_flags(capsys, tmp_path, name):
     by_config = run(capsys, *base, "--config", str(cfg))
     assert by_flags[0] == 0
     assert by_config == by_flags
+
+
+def test_config_integer_window_matches_flag(capsys, tmp_path):
+    # the sweep echoes its window; a JSON integer list prints as floats too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"analysis": {"window": [0, 2]}}))
+    base = ["sweep", "--model", "drift", "--rates", "0.5"]
+    by_flag = run(capsys, *base, "--window", "0,2")
+    by_config = run(capsys, *base, "--config", str(cfg))
+    assert by_flag[0] == 0
+    assert by_config == by_flag
+    window = json.loads(by_flag[1])["sweep"][0]["window"]
+    assert window == [0.0, 2.0] and all(isinstance(t, float) for t in window)

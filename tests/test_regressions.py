@@ -1,12 +1,15 @@
-"""Regression tests for an unverified blow-up bracket and for the probe count
-each critical-rate bracket reports."""
+"""Regression tests for an unverified blow-up bracket, for the probe count
+each critical-rate bracket reports, and for non-finite times and ranges."""
 import math
 
 import pytest
 
+from tiplab.analysis import estimate_pullback
 from tiplab.integrate import ESCAPED, VectorFieldHandle, integrate
 from tiplab.models import make_model
 from tiplab.tipping import _scan_rates, find_critical_rate
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestBlowUpVerification:
@@ -42,3 +45,24 @@ class TestBracketProbes:
         assert len(report.brackets) == 2
         assert sum(b.probes for b in report.brackets) == report.probes - n_scan
         assert all(0 < b.probes < 10 for b in report.brackets)
+
+
+class TestNonFiniteInput:
+    # each used to hang, return a bogus verdict or raise OverflowError
+    @pytest.mark.parametrize("t0,t1", [(0.0, NAN), (NAN, 1.0), (0.0, INF)])
+    def test_integrate_rejects_non_finite_times(self, t0, t1):
+        m = make_model("moving-sn", mu=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(m.field, [0.0], t0, t1)
+
+    @pytest.mark.parametrize("window", [(-INF, 0.0), (0.0, INF)])
+    def test_pullback_rejects_non_finite_window(self, window):
+        m = make_model("moving-sn", mu=0.5, r=0.03)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_pullback(m, window=window)
+
+    @pytest.mark.parametrize("r_range", [(0.01, INF), (-INF, 0.1)])
+    def test_critical_rate_rejects_non_finite_range(self, r_range):
+        m = make_model("moving-sn", mu=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            find_critical_rate(m, r_range=r_range)
