@@ -266,49 +266,40 @@ def _cmd_sweep(args, config) -> int:
     return 1 if any(s["tipped"] is None for s in results) else 0
 
 
+# Oracle-curve figures: model, parameters, rates, and column -> catalog curve.
+_ORACLE_FIGURES = {
+    "fig1": ("drift", {}, (0.1, 0.5, 1.0, 2.0),
+             {"pullback": "attractor+", "qse": "qse_stable+"}),
+    "fig2": ("moving-sn", {"mu": 0.5}, (1.0 / 32.0, 1.0 / 16.0, 3.0 / 32.0),
+             {"attractor": "attractor+", "repeller": "repeller",
+              "qse_stable": "qse_stable+", "qse_unstable": "qse_unstable"}),
+    # mu = 1 straddles the moving-cubic critical rate 2 mu^3 / (3 sqrt 3)
+    "fig3": ("moving-cubic", {"mu": 1.0},
+             tuple(2.0 / (3.0 * np.sqrt(3.0)) + dr for dr in (-0.1, 0.0, 0.1)),
+             {"attractor_top": "attractor+", "attractor_bottom": "attractor-",
+              "repeller": "repeller"}),
+}
+
+
+def _oracle_value(m, key: str, t: float) -> float:
+    """The first coordinate of a catalog curve at t, NaN where it is undefined."""
+    try:
+        return models.oracle_curve(m, key, t)[0]
+    except models.CurveUndefined:
+        return float("nan")
+
+
 def _figure_rows(which: str):
     """Reference data tables behind the library's standard figures."""
-    grid = np.linspace(0.0, 4.0, 161)
-    if which == "fig1":
-        header = ["t", "r", "pullback", "qse"]
+    if which in _ORACLE_FIGURES:
+        name, params, rates, columns = _ORACLE_FIGURES[which]
+        grid = np.linspace(0.0, 4.0, 161)
         rows = []
-        for r in (0.1, 0.5, 1.0, 2.0):
-            m = make_model("drift", r=r)
-            for t in grid:
-                rows.append([t, r, models.oracle_curve(m, "attractor+", t)[0],
-                             models.oracle_curve(m, "qse_stable+", t)[0]])
-        return header, rows
-    if which == "fig2":
-        header = ["t", "r", "attractor", "repeller", "qse_stable", "qse_unstable"]
-        rows = []
-        for r in (1.0 / 32.0, 1.0 / 16.0, 3.0 / 32.0):
-            m = make_model("moving-sn", mu=0.5, r=r)
-            for t in grid:
-                try:
-                    att = models.oracle_curve(m, "attractor+", t)[0]
-                    rep = models.oracle_curve(m, "repeller", t)[0]
-                except models.CurveUndefined:
-                    att = rep = float("nan")
-                rows.append([t, r, att, rep,
-                             models.oracle_curve(m, "qse_stable+", t)[0],
-                             models.oracle_curve(m, "qse_unstable", t)[0]])
-        return header, rows
-    if which == "fig3":
-        mu = 1.0
-        rstar = 2.0 * mu**3 / (3.0 * np.sqrt(3.0))
-        header = ["t", "r", "attractor_top", "attractor_bottom", "repeller"]
-        rows = []
-        for r in (rstar - 0.1, rstar, rstar + 0.1):
-            m = make_model("moving-cubic", mu=mu, r=r)
-            for t in grid:
-                vals = []
-                for key in ("attractor+", "attractor-", "repeller"):
-                    try:
-                        vals.append(models.oracle_curve(m, key, t)[0])
-                    except models.CurveUndefined:
-                        vals.append(float("nan"))
-                rows.append([t, r, *vals])
-        return header, rows
+        for r in rates:
+            m = make_model(name, **params, r=r)
+            rows.extend([t, r, *(_oracle_value(m, key, t) for key in columns.values())]
+                        for t in grid)
+        return ["t", "r", *columns], rows
     if which == "fig4":
         # co-moving nullclines of the planar system: z = r, y = 0, z = mu - y^2
         mu = 1.0

@@ -42,7 +42,8 @@ __all__ = [
     "thread_count",
 ]
 
-# Two pullback curves closer than this in sup norm count as the same curve.
+# Two pullback curves are the same curve when their sup-norm gap is below this
+# times max(1, the larger curve's sup norm), scaled as a pullback's own tol is.
 CURVE_DEDUPE_GAP = 1e-4
 
 
@@ -90,7 +91,9 @@ def _dedupe(estimates: list[PullbackEstimate]) -> list[list[int]]:
         if est.status != CONVERGED:
             continue
         for g in groups:
-            if est.sup_gap(estimates[g[0]]) < CURVE_DEDUPE_GAP:
+            other = estimates[g[0]]
+            size = max(1.0, np.max(np.abs(est.states)), np.max(np.abs(other.states)))
+            if est.sup_gap(other) < CURVE_DEDUPE_GAP * size:
                 g.append(i)
                 break
         else:
@@ -151,6 +154,26 @@ def _diagnose(jobs: list[PullbackJob], window: tuple[float, float]) -> RateDiagn
     )
 
 
+def _diagnose_rates(model: ModelSpec, rates: Sequence[float], anchors: Sequence | None,
+                    window: tuple[float, float], tol: float, max_lookback: float,
+                    cfg: IntegratorConfig) -> list[RateDiagnostics]:
+    """The tipping predicate at each rate, decided in one batch: the source
+    of every verdict.  Undecided rates are retried together at ``tol * 100``
+    and a four-fold lookback, reusing the doublings already integrated; a
+    rate the retry cannot decide reads None."""
+    jobs = _rate_jobs(model, rates, anchors, window, tol, max_lookback)
+    run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
+    diags = [_diagnose(per_rate, window) for per_rate in jobs]
+    retry = [i for i, d in enumerate(diags) if d.tipped is None]
+    for i in retry:
+        for job in jobs[i]:
+            job.relax(tol * 100.0, max_lookback * 4.0)
+    run_pullbacks([job for i in retry for job in jobs[i]], cfg)
+    for i in retry:
+        diags[i] = _diagnose(jobs[i], window)
+    return diags
+
+
 def rate_diagnostics(
     model: ModelSpec,
     r: float | None = None,
@@ -168,14 +191,12 @@ def rate_diagnostics(
     ``tipped`` is True when an anchored estimate escapes or fewer distinct
     curves survive than the model's anchor count, False when all anchors
     converge with full multiplicity, and None when some estimate neither
-    converged nor escaped within the lookback budget.
+    converged nor escaped, even on the batched predicate's relaxed retry.
     """
     if r is not None:
         model = model.with_rate(r)
     cfg = cfg or integrator_config(model)
-    (jobs,) = _rate_jobs(model, [model.rate], anchors, window, tol, max_lookback)
-    run_pullbacks(jobs, cfg)
-    diag = _diagnose(jobs, window)
+    (diag,) = _diagnose_rates(model, [model.rate], anchors, window, tol, max_lookback, cfg)
 
     if include_forward:
         for g in diag.groups:
@@ -318,32 +339,12 @@ def _scan_rates(
 _ROUND_DEPTH = 3
 
 
-def _probe_rates(
-    model: ModelSpec,
-    rates: Sequence[float],
-    anchors: Sequence | None,
-    window: tuple[float, float],
-    tol: float,
-    max_lookback: float,
-    cfg: IntegratorConfig,
-) -> list[bool | None]:
-    """The tipping predicate at each rate, decided in one batch.
-
-    Inconclusive rates are retried together with a relaxed convergence
-    tolerance and a four-fold lookback, reusing what was integrated; a rate
-    still undecidable after its retry reads None.
-    """
-    jobs = _rate_jobs(model, rates, anchors, window, tol, max_lookback)
-    run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
-    verdicts = [_diagnose(per_rate, window).tipped for per_rate in jobs]
-    retry = [i for i, v in enumerate(verdicts) if v is None]
-    for i in retry:
-        for job in jobs[i]:
-            job.relax(tol * 100.0, max_lookback * 4.0)
-    run_pullbacks([job for i in retry for job in jobs[i]], cfg)
-    for i in retry:
-        verdicts[i] = _diagnose(jobs[i], window).tipped
-    return verdicts
+def _probe_rates(model: ModelSpec, rates: Sequence[float], anchors: Sequence | None,
+                 window: tuple[float, float], tol: float, max_lookback: float,
+                 cfg: IntegratorConfig) -> list[bool | None]:
+    """The verdicts alone of ``_diagnose_rates``."""
+    return [d.tipped for d in
+            _diagnose_rates(model, rates, anchors, window, tol, max_lookback, cfg)]
 
 
 @dataclass
@@ -512,7 +513,8 @@ def locality_probe(
 
     An anchor is lost when its estimate escapes or its curve merged with a
     curve owned by a different anchor; a distinct curve survives when it
-    also passes the forward-attraction test.
+    also passes the forward-attraction test.  The curves are those
+    ``rate_diagnostics`` reads its verdict from, relaxed retry included.
     """
     diag = rate_diagnostics(
         model, r=r, window=window, anchors=anchors, tol=tol, cfg=cfg,
@@ -549,17 +551,17 @@ def sweep(
 ) -> list[dict]:
     """Per-rate diagnostics over many rates, integrated as one batch.
 
-    Results come back in the order of ``r_values``.  ``threads`` (or
-    ``TIPLAB_THREADS``) is validated but starts no threads: every rate,
-    anchor and lookback doubling is a member of one batch in the calling
-    thread, and a member's result does not depend on the batch, so the
-    output is identical at any worker count.
+    Each verdict comes from the batched predicate of ``find_critical_rate``,
+    relaxed retry included.  Results come back in the order of ``r_values``.
+    ``threads`` (or ``TIPLAB_THREADS``) is validated but starts no threads:
+    every rate, anchor and lookback doubling is a member of one batch in the
+    calling thread, and a member's result does not depend on the batch, so
+    the output is identical at any worker count.
     """
     r_values = [float(r) for r in r_values]
     thread_count(threads)
     if not r_values:
         return []
     cfg = cfg or integrator_config(model)
-    jobs = _rate_jobs(model, r_values, anchors, window, tol, 4096.0)
-    run_pullbacks([job for per_rate in jobs for job in per_rate], cfg)
-    return [_diagnose(per_rate, window).summary() for per_rate in jobs]
+    return [d.summary() for d in
+            _diagnose_rates(model, r_values, anchors, window, tol, 4096.0, cfg)]

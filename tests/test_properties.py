@@ -9,6 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tiplab.integrate import ESCAPED, IntegratorConfig, integrate  # noqa: E402
 from tiplab.models import make_model  # noqa: E402
+from tiplab.tipping import find_critical_rate  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)
@@ -33,3 +34,31 @@ def test_moving_sn_blowup_time_in_bracket(mu, frac, x0, t0):
     assert traj.bracket_verified is True
     lo, hi = traj.escape_bracket
     assert lo <= t_sing <= hi
+
+
+def _assert_own_brackets(report, rates, resolution):
+    """Each closed-form rate lies in its own narrow saddle-node bracket."""
+    assert not report.flagged
+    assert len(report.brackets) == len(rates)
+    for r in rates:
+        (b,) = [b for b in report.brackets if b.lower <= r <= b.upper]
+        assert b.width <= resolution
+        assert b.classification == "saddle-node"
+
+
+@settings(max_examples=6, deadline=None)
+@given(mu=st.floats(0.25, 1.0))
+def test_moving_sn_critical_rate(mu):
+    rstar = mu * mu / 4.0
+    report = find_critical_rate(make_model("moving-sn", mu=mu),
+                                r_range=(0.1 * rstar, 3.0 * rstar), resolution=0.01 * rstar)
+    _assert_own_brackets(report, [rstar], 0.01 * rstar)
+
+
+@settings(max_examples=4, deadline=None)
+@given(mu=st.floats(0.5, 1.5))
+def test_moving_cubic_critical_rates(mu):
+    rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
+    report = find_critical_rate(make_model("moving-cubic", mu=mu),
+                                r_range=(-3.0 * rstar, 3.0 * rstar), resolution=0.01 * rstar)
+    _assert_own_brackets(report, [-rstar, rstar], 0.01 * rstar)
