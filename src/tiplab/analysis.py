@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .integrate import (
     COMPLETED,
@@ -93,6 +92,12 @@ class Diagnostic:
     evidence: dict
 
 
+def _noise_floor(cfg: IntegratorConfig, size: float) -> float:
+    """Differences this small between two integrations of curves of sup
+    norm ``size`` are the integrator's own error."""
+    return 100.0 * (cfg.abs_tol + cfg.rel_tol * size)
+
+
 class PullbackJob:
     """One (rate, anchor) pullback estimate, built from lookback doublings.
 
@@ -102,7 +107,9 @@ class PullbackJob:
     kept once integrated, so ``relax`` to a looser tolerance or a longer
     lookback reuses it: ``resolve`` replays the sequential doubling loop
     over the kept outcomes, and the tolerance enters only its convergence
-    test.
+    test: two successive sup gaps below ``tol * max(1, sup|curve|)``, the
+    last no larger than the one before unless it lies within the
+    integrator's noise floor ``_noise_floor``, where gaps stop falling.
     """
 
     def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
@@ -155,7 +162,7 @@ class PullbackJob:
         self.tol, self.max_lookback = tol, max_lookback
         self.estimate = None
 
-    def resolve(self) -> bool:
+    def resolve(self, cfg: IntegratorConfig) -> bool:
         """Set ``estimate`` once the kept outcomes decide it; else False."""
         start_times: list[float] = []
         gaps: list[float] = []
@@ -176,12 +183,13 @@ class PullbackJob:
             last = traj
             if prev is not None:
                 gaps.append(float(np.max(np.abs(curve - prev))))
-                tol_eff = self.tol * max(1.0, float(np.max(np.abs(curve))))
+                size = float(np.max(np.abs(curve)))
+                tol_eff = self.tol * max(1.0, size)
                 if (
                     len(gaps) >= 2
                     and gaps[-1] < tol_eff
                     and gaps[-2] < tol_eff
-                    and gaps[-1] <= gaps[-2]
+                    and (gaps[-1] <= gaps[-2] or gaps[-1] <= _noise_floor(cfg, size))
                 ):
                     status = CONVERGED
                     prev = curve
@@ -219,13 +227,14 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     """Resolve pullback jobs, integrating their missing doublings as one batch.
 
     Every (job, doubling) pair is one member of a single Dormand–Prince
-    batch.  A member runs its approach leg with the step cap raised to at
-    least 1 (its error is contracted away by the attracting dynamics), then
-    restarts on the window leg with a fresh initial step.  Each job resolves
-    in doubling order and drops its remaining members once it converges or
-    escapes.  All jobs must share one model family, sense and ``cfg``.
+    batch.  A member runs its approach leg with no step cap (error control
+    sets each step; the attracting dynamics contract that error away), then
+    restarts on the window leg with a fresh initial step and ``cfg.max_step``.
+    Each job resolves in doubling order and drops its remaining members once
+    it converges or escapes.  All jobs must share one model family, sense
+    and ``cfg``.
     """
-    jobs = [job for job in jobs if not job.resolve()]
+    jobs = [job for job in jobs if not job.resolve(cfg)]
     if not jobs:
         return
     model, sense = jobs[0].model, jobs[0].sense
@@ -249,7 +258,6 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
         [s for s, _ in starts],
         [job.wa for job, _ in members],
         rates,
-        max_step=max(cfg.max_step, 1.0),
     )
     windowed = np.zeros(len(members), dtype=bool)
     while stopped or batch.n_active:
@@ -263,7 +271,7 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
                 restart.append(i)
                 continue
             job.record(k, batch.trajectory(i) if status == COMPLETED else None)
-            if job.resolve():
+            if job.resolve(cfg):
                 batch.drop(ids_of[id(job)])
         restart = [i for i in restart if members[i][0].estimate is None]
         stopped = []
@@ -282,7 +290,7 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 stopped = batch.advance()
     for job in jobs:
-        if not job.resolve():
+        if not job.resolve(cfg):
             raise RuntimeError("pullback batch ended with an unresolved job")
 
 
@@ -301,10 +309,11 @@ def estimate_pullback(
 ) -> PullbackEstimate:
     """Estimate a pullback attractor (or repeller, via time reversal).
 
-    Start times recede as s_k = t_a - delta*2^k until two successive
-    window-restricted curves agree to ``tol`` in sup norm (scaled by the
-    curve magnitude when it exceeds unity).  The doublings are integrated
-    together as members of one batch.
+    Start times recede as s_k = t_a - delta*2^k until two successive gaps
+    between window-restricted curves are below ``tol`` in sup norm (scaled
+    by the curve magnitude when it exceeds unity) and the last is no larger
+    than the one before or within the integrator's error noise floor.  The
+    doublings are integrated together as members of one batch.
     """
     if r is not None:
         model = model.with_rate(r)
@@ -385,7 +394,7 @@ def forward_attraction_test(
     ref = curve(grid)
     iq = int(0.75 * (grid_points - 1))
     # distances below the integrator's own error are indistinguishable noise
-    floor = 100.0 * (cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(ref))))
+    floor = _noise_floor(cfg, float(np.max(np.abs(ref))))
 
     offs = []
     for off in offsets:
@@ -514,6 +523,8 @@ def _polish(f, x, steps=3):
 
 def find_roots(f, box, seeds=(), tol=1e-12, scan_points=41):
     """All roots of f inside a box, by seeded quasi-Newton + grid scan."""
+    import scipy.optimize  # deferred: a pullback or tipping run never needs it
+
     box = [tuple(map(float, b)) for b in box]
     dim = len(box)
     all_seeds = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seeds]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "COMPLETED",
@@ -603,9 +602,13 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     The crossing instant inside the last accepted step gives the lower end.
     Integration then continues (escape check off) until the step size
     underflows or the state stops being finite, which pins the singularity
-    from below; a small guard extrapolation closes the bracket from above.
+    from below; a guard of a quarter of the distance from the crossing to
+    where the continuation stopped closes the bracket from above, so the
+    singularity sits about 80% of the way along, not at the very end.
     Returns the bracket and whether a singularity was found.
     """
+    from scipy.optimize import brentq  # deferred: only blow-ups need it
+
     last = len(traj.coeffs) - 1
     seg = lambda t: traj._poly(np.array([last]), np.array([t]))[0]
     nrm = lambda t: float(np.linalg.norm(seg(t))) - cfg.escape_norm
@@ -637,7 +640,7 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     # An escape here means the state stopped being finite.
     singular = status in (ESCAPED, STEP_UNDERFLOW)
     if singular:
-        guard = max(100 * abs(np.spacing(t_reach)), 0.01 * abs(t_reach - t_cross), cfg.min_step)
+        guard = max(100 * abs(np.spacing(t_reach)), 0.25 * abs(t_reach - t_cross), cfg.min_step)
         upper = t_reach + direction * guard
     else:
         # No singularity found within the probe; report the verified extent.

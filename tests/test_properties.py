@@ -36,6 +36,27 @@ def test_moving_sn_blowup_time_in_bracket(mu, frac, x0, t0):
     assert lo <= t_sing <= hi
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.25, 1.0),
+    frac=st.floats(0.003, 1.0),
+    x0=st.floats(-2.0, 2.0),
+    t0=st.floats(-5.0, 5.0),
+)
+def test_moving_sn_blowup_is_not_at_the_bracket_end(mu, frac, x0, t0):
+    # the upper end must leave a margin past the singularity, so that a
+    # slightly less accurate continuation still brackets it
+    r = mu * mu / 4.0 + frac * mu * mu / 2.0
+    c = r - mu * mu / 4.0
+    y0 = x0 - r * t0 - mu / 2.0
+    t_sing = t0 + (math.atan(y0 / math.sqrt(c)) + math.pi / 2.0) / math.sqrt(c)
+    m = make_model("moving-sn", mu=mu, r=r)
+    traj = integrate(m.field, [x0], t0, t_sing + 10.0,
+                     IntegratorConfig(escape_norm=m.escape_norm))
+    lo, hi = traj.escape_bracket
+    assert lo <= t_sing <= lo + 0.9 * (hi - lo)
+
+
 def _assert_own_brackets(report, rates, resolution):
     """Each closed-form rate lies in its own narrow saddle-node bracket."""
     assert not report.flagged

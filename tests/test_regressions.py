@@ -1,11 +1,16 @@
 """Regression tests for an unverified blow-up bracket, for the probe count
 each critical-rate bracket reports, for non-finite times and ranges, for
 finite-horizon tests given a bad horizon, for curve dedupe on large curves,
-and for the tipping predicate's known wrong answers."""
+for the step count and convergence of deep pullbacks, for an import free of
+scipy, and for the tipping predicate's known wrong answers."""
 import ast
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +22,7 @@ from tiplab.analysis import (
     integrator_config,
 )
 from tiplab.cli import main
-from tiplab.integrate import ESCAPED, VectorFieldHandle, integrate
+from tiplab.integrate import ESCAPED, Batch, VectorFieldHandle, integrate
 from tiplab.models import make_model, oracle_curve
 from tiplab.tipping import _scan_rates, find_critical_rate, rate_diagnostics
 
@@ -135,6 +140,39 @@ class TestOnePredicate:
                      "--rates", repr(self.R), "--format", "csv"])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "0"
+
+
+class TestDeepPullback:
+    def test_deep_lookback_takes_few_iterations(self, monkeypatch):
+        # at r* the pullback never converges, so every doubling up to
+        # lookback 4096 is integrated; a step cap of 1 on the approach leg
+        # would need at least 4096 batch iterations for the deepest one
+        calls = []
+        advance = Batch.advance
+        monkeypatch.setattr(Batch, "advance", lambda b: calls.append(1) or advance(b))
+        est = estimate_pullback(make_model("moving-sn", mu=0.5), r=0.0625, tol=1e-4)
+        assert est.status == "not_converged"
+        assert est.start_times[-1] == -4096.0
+        assert len(calls) < 4096 // 8
+
+    def test_gaps_at_the_noise_floor_converge(self):
+        # once converged, the curves differ only by integrator noise, which
+        # need not fall monotonically from one doubling to the next
+        est = estimate_pullback(make_model("moving-sn", mu=0.5), r=0.0103, tol=1e-8)
+        assert est.status == "converged"
+        assert len(est.start_times) == 9
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tiplab, tiplab.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestKnownWrongVerdicts:
