@@ -21,6 +21,7 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     VectorFieldHandle,
+    _zero_in,
     integrate,
     integrate_members,
 )
@@ -498,60 +499,61 @@ class QseBranch:
 
 
 def _fd_jacobian(f, x, h=1e-6):
-    n = x.size
-    J = np.empty((n, n))
-    for j in range(n):
-        step = h * max(1.0, abs(x[j]))
-        e = np.zeros(n)
-        e[j] = step
-        J[:, j] = (f(x + e) - f(x - e)) / (2.0 * step)
+    J = np.empty((x.size, x.size))
+    for j, e in enumerate(np.diag(h * np.maximum(1.0, np.abs(x)))):
+        J[:, j] = (f(x + e) - f(x - e)) / (2.0 * e[j])
     return J
 
 
-def _polish(f, x, steps=3):
-    for _ in range(steps):
-        fx = f(x)
+def _newton(f, x):
+    """Damped Newton from x on the central-difference Jacobian.  A step is
+    halved until the residual strictly falls.  Newton ends after a full step
+    of at most 1e-9*max(1, |x|), which quadratic convergence leaves at
+    rounding, or when the Jacobian is singular or no halving helps."""
+    fx = f(x)
+    for _ in range(50):
         try:
             dx = np.linalg.solve(_fd_jacobian(f, x), -fx)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(dx)):
+        done = np.abs(dx).max() <= 1e-9 * max(1.0, np.abs(x).max())
+        res, lam = fx @ fx, 1.0
+        while not (fx_new := f(x + lam * dx)) @ fx_new < res:  # a NaN residual fails too
+            if done or lam < 1e-3:
+                return x
+            lam *= 0.5
+        x, fx = x + lam * dx, fx_new
+        if done:
             break
-        x = x + dx
     return x
 
 
 def find_roots(f, box, seeds=(), tol=1e-12, scan_points=41):
-    """All roots of f inside a box, by seeded quasi-Newton + grid scan."""
-    import scipy.optimize  # deferred: a pullback or tipping run never needs it
-
+    """All roots of f inside a box, by damped Newton from the seeds and from a
+    grid scan; in 1-D each sign change on the scan is bisected first."""
     box = [tuple(map(float, b)) for b in box]
     dim = len(box)
     all_seeds = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seeds]
     if dim == 1:
-        lo, hi = box[0]
-        xs = np.linspace(lo, hi, scan_points)
-        vals = np.array([f(np.array([x]))[0] for x in xs])
-        for i, v in enumerate(vals):
-            if v == 0.0:  # root sits exactly on a scan point
-                all_seeds.append(np.array([xs[i]]))
-        for i in range(len(xs) - 1):
-            if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                root = scipy.optimize.brentq(
-                    lambda x: f(np.array([x]))[0], xs[i], xs[i + 1], xtol=1e-14
-                )
-                all_seeds.append(np.array([root]))
+        g = lambda x: f(np.array([x]))[0]
+        xs = np.linspace(*box[0], scan_points)
+        vals = [g(x) for x in xs]
+        all_seeds += [np.array([x]) for x, v in zip(xs, vals) if v == 0.0]  # on the scan
+        all_seeds += [np.array([_zero_in(g, a, b)])
+                      for a, b, va, vb in zip(xs, xs[1:], vals, vals[1:])
+                      if np.sign(va) * np.sign(vb) < 0]
     else:
         n = max(5, int(round(scan_points ** (1.0 / dim))))
         axes = [np.linspace(lo, hi, n) for lo, hi in box]
         mesh = np.meshgrid(*axes, indexing="ij")
         all_seeds.extend(np.stack([m.ravel() for m in mesh], axis=1))
+        # an even mesh misses the centre, where a symmetric box tends to hold a root
+        all_seeds.append(np.array([0.5 * (lo + hi) for lo, hi in box]))
 
     roots = []
     span = max(hi - lo for lo, hi in box)
     for seed in all_seeds:
-        sol = scipy.optimize.root(f, seed, method="hybr", tol=1e-12)
-        x = _polish(f, sol.x)
+        x = _newton(f, seed)
         if not np.all(np.isfinite(x)):
             continue
         if float(np.max(np.abs(f(x)))) > tol:
@@ -562,7 +564,7 @@ def find_roots(f, box, seeds=(), tol=1e-12, scan_points=41):
         if any(np.linalg.norm(x - rt) < 1e-7 * (1.0 + np.linalg.norm(rt)) for rt in roots):
             continue
         roots.append(x)
-    roots.sort(key=lambda v: tuple(v))
+    roots.sort(key=lambda v: tuple(np.round(v, 9)))
     return roots
 
 
@@ -591,14 +593,17 @@ def qse_continuation(
     if s_grid is None:
         s_grid = np.linspace(0.0, 4.0, 41)
     s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.size == 0:
+        raise ValueError("s_grid is empty")
     if model.state_box is None:
         raise TiplabError(f"model {model.name!r} defines no root-search box")
 
     active: list[QseBranch] = []
     done: list[QseBranch] = []
     prev_lam = model.ramp.value(s_grid[0])
-    for i, s in enumerate(s_grid):
-        frozen = lambda x, s=s: model.field(x, s)
+    rate = model.rate
+    for s in s_grid:
+        frozen = lambda x, s=s: model.rhs(x, s, rate)  # model.field without its checks
         seeds = [br.samples[-1].x for br in active]
         roots = find_roots(frozen, model.state_box(s), seeds=seeds, tol=tol, scan_points=scan_points)
         lam = model.ramp.value(s)
@@ -610,33 +615,25 @@ def qse_continuation(
             eigs = np.linalg.eigvals(_fd_jacobian(frozen, x))
             samples.append(QseSample(float(s), x, _stability_label(eigs, margin), eigs))
 
-        matched = [False] * len(samples)
+        unmatched = list(range(len(samples)))
         still_active = []
         for br in active:
-            last = br.samples[-1].x
-            best, best_d = None, math.inf
-            for j, smp in enumerate(samples):
-                if matched[j]:
-                    continue
-                d = float(np.linalg.norm(smp.x - last))
-                if d < best_d:
-                    best, best_d = j, d
-            if best is not None and best_d <= allowed:
-                matched[best] = True
+            dist = {j: float(np.linalg.norm(samples[j].x - br.samples[-1].x)) for j in unmatched}
+            best = min(unmatched, key=dist.get, default=None)  # first of any tie
+            if best is not None and dist[best] <= allowed:
+                unmatched.remove(best)
                 br.samples.append(samples[best])
-                if samples[best].stability == "degenerate":
-                    br.flagged = True
+                br.flagged |= samples[best].stability == "degenerate"
                 still_active.append(br)
             else:
                 done.append(br)  # branch death inside the grid
-        for j, smp in enumerate(samples):
-            if not matched[j]:
-                br = QseBranch(samples=[smp], flagged=(smp.stability == "degenerate"))
-                still_active.append(br)
+        still_active += [QseBranch([samples[j]], samples[j].stability == "degenerate")
+                         for j in unmatched]
         active = still_active
 
     done.extend(active)
-    done.sort(key=lambda br: tuple(br.samples[0].x))
+    # rounded, so that last-bit noise cannot reorder branches that tie
+    done.sort(key=lambda br: tuple(np.round(br.samples[0].x, 9)))
     return done
 
 

@@ -127,6 +127,14 @@ def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = 
     raise CliError(f"{key} expects {want}, got {raw!r}")
 
 
+def _grid(args, config: dict, key: str, default: str) -> np.ndarray:
+    """An ``a,b,n`` option as ``np.linspace(a, b, n)``, for a whole n >= 1."""
+    a, b, n = _opt(args, config, key, default, n=3)
+    if n < 1 or n != int(n):
+        raise CliError(f"{key} expects a whole number of points >= 1, got {n!r}")
+    return np.linspace(a, b, int(n))
+
+
 def _integrator(model: ModelSpec, config: dict) -> IntegratorConfig:
     """The model's integrator settings with the overrides in
     ``config["analysis"]["integrator"]``."""
@@ -210,8 +218,7 @@ def _cmd_pullback(args, config) -> int:
 def _cmd_qse(args, config) -> int:
     model = _build_model(args, config)
     out, fmt = _output_target(args, config)
-    a, b, n = _opt(args, config, "s-grid", "0,4,41", n=3)
-    branches = analysis.qse_continuation(model, s_grid=np.linspace(a, b, int(n)))
+    branches = analysis.qse_continuation(model, s_grid=_grid(args, config, "s-grid", "0,4,41"))
     header = ["branch", "s"] + [f"x{i}" for i in range(model.dimension)] + ["stability"]
     rows = [[bi, smp.s, *smp.x, smp.stability]
             for bi, br in enumerate(branches) for smp in br.samples]
@@ -252,8 +259,7 @@ def _cmd_sweep(args, config) -> int:
     out, fmt = _output_target(args, config)
     rates = _opt(args, config, "rates", n=0)
     if rates is None:
-        a, b, n = _opt(args, config, "r-range", "0.01,1,10", n=3)
-        rates = np.linspace(a, b, int(n)).tolist()
+        rates = _grid(args, config, "r-range", "0.01,1,10").tolist()
     results = tipping.sweep(
         model, rates, threads=args.threads,
         window=tuple(_opt(args, config, "window", (0.0, 4.0), n=2)),

@@ -596,19 +596,28 @@ class Batch:
         )
 
 
+def _zero_in(g, a: float, b: float) -> float:
+    """A zero of g in [a, b], where g(a) and g(b) differ in sign, by bisection
+    to a bracket of 1e-14 or of two adjacent floats, whichever comes first."""
+    neg_a, m = g(a) < 0, 0.5 * (a + b)
+    while b - a > 1e-14 and a < m < b:  # from |t| = 64 on, floats are over 1e-14 apart
+        a, b = (m, b) if (g(m) < 0) == neg_a else (a, m)
+        m = 0.5 * (a + b)
+    return m
+
+
 def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: float):
     """Bracket the blow-up time after the escape norm was crossed.
 
-    The crossing instant inside the last accepted step gives the lower end.
-    Integration then continues (escape check off) until the step size
-    underflows or the state stops being finite, which pins the singularity
-    from below; a guard of a quarter of the distance from the crossing to
-    where the continuation stopped closes the bracket from above, so the
-    singularity sits about 80% of the way along, not at the very end.
+    The crossing instant inside the last accepted step, bisected on that
+    step's dense output, gives the lower end.  Integration then continues
+    (escape check off) until the step size underflows or the state stops
+    being finite, which pins the singularity from below; a guard of a quarter
+    of the distance from the crossing to where the continuation stopped
+    closes the bracket from above, so the singularity sits about 80% of the
+    way along, not at the very end.
     Returns the bracket and whether a singularity was found.
     """
-    from scipy.optimize import brentq  # deferred: only blow-ups need it
-
     last = len(traj.coeffs) - 1
     seg = lambda t: traj._poly(np.array([last]), np.array([t]))[0]
     nrm = lambda t: float(np.linalg.norm(seg(t))) - cfg.escape_norm
@@ -618,7 +627,7 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     elif nrm(b) <= 0:
         t_cross = b
     else:
-        t_cross = brentq(nrm, a, b, xtol=1e-14)
+        t_cross = _zero_in(nrm, a, b)
 
     # Loose tolerances here: only the blow-up *time* matters, and step-size
     # control still contracts geometrically toward the singularity.  Tight

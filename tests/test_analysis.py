@@ -210,6 +210,19 @@ class TestQseContinuation:
         labels = sorted(b.stability for b in branches)
         assert labels == ["saddle", "stable", "stable"]
 
+    def test_branch_order_ignores_last_bit_noise(self):
+        # the -y and +y branches start at z = -2.4 up to rounding, so an
+        # unrounded sort key let the solver's last bit decide their order
+        m = make_model("moving-pitchfork", mu=1.0, r=1.2, p=3)
+        branches = qse_continuation(m, s_grid=np.linspace(-20.0, 20.0, 81))
+        keys = [tuple(np.round(br.samples[0].x, 9)) for br in branches]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            qse_continuation(make_model("moving-sn"), s_grid=[])
+
     def test_branch_interpolation(self):
         m = make_model("moving-sn", mu=0.5, r=1.0 / 32.0)
         branches = qse_continuation(m, s_grid=np.linspace(0.0, 4.0, 41))
@@ -232,6 +245,14 @@ class TestComovingConsistency:
         assert report["dynamic"]["passed"]
         assert report["lift"]["max_residual"] <= 1e-10
         assert report["passed"]
+
+    def test_pitchfork_lifts_the_saddle(self):
+        # the saddle (r, 0) sits at the centre of the co-moving box, where
+        # the even scan mesh has no point
+        report = comoving_consistency_check(make_model("moving-pitchfork"))
+        eq = sorted(tuple(e) for e in report["lift"]["equilibria"])
+        s = math.sqrt(0.5)
+        assert np.allclose(eq, [(0.5, -s), (0.5, 0.0), (0.5, s)], rtol=0, atol=1e-12)
 
     def test_no_frame_raises(self):
         with pytest.raises(NoComovingFrame):

@@ -7,8 +7,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+from tiplab.analysis import qse_continuation  # noqa: E402
 from tiplab.integrate import ESCAPED, IntegratorConfig, integrate  # noqa: E402
-from tiplab.models import make_model  # noqa: E402
+from tiplab.models import make_model, oracle_curve  # noqa: E402
 from tiplab.tipping import find_critical_rate  # noqa: E402
 
 
@@ -55,6 +58,71 @@ def test_moving_sn_blowup_is_not_at_the_bracket_end(mu, frac, x0, t0):
                      IntegratorConfig(escape_norm=m.escape_norm))
     lo, hi = traj.escape_bracket
     assert lo <= t_sing <= lo + 0.9 * (hi - lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.25, 1.0),
+    frac=st.floats(0.003, 1.0),
+    x0=st.floats(-2.0, 2.0),
+    t0=st.floats(-5.0, 5.0),
+)
+def test_moving_sn_bracket_starts_at_the_escape_crossing(mu, frac, x0, t0):
+    # the norm grows by about 1e12 per unit time at the crossing, so one float
+    # step of t moves it by 1e-9 to 1e-7 relative: the test asks instead that
+    # it cross the escape norm within the bisection's last bracket around lo
+    r = mu * mu / 4.0 + frac * mu * mu / 2.0
+    c = r - mu * mu / 4.0
+    y0 = x0 - r * t0 - mu / 2.0
+    t_sing = t0 + (math.atan(y0 / math.sqrt(c)) + math.pi / 2.0) / math.sqrt(c)
+    m = make_model("moving-sn", mu=mu, r=r)
+    traj = integrate(m.field, [x0], t0, t_sing + 10.0,
+                     IntegratorConfig(escape_norm=m.escape_norm))
+    lo, _ = traj.escape_bracket
+    norm = lambda t: float(np.linalg.norm(traj.eval(t)))
+    width = 1e-14 + 2.0 * np.spacing(lo)
+    assert norm(lo - width) <= m.escape_norm <= norm(lo + width)
+
+
+# Each QSE branch follows one frozen equilibrium of the catalog, with its label.
+_QSE_LABELS = {
+    "moving-cubic": {"qse_stable+": "stable", "qse_stable-": "stable",
+                     "qse_unstable": "unstable"},
+    "moving-pitchfork": {"qse_stable+": "stable", "qse_stable-": "stable",
+                         "qse_unstable": "saddle"},
+}
+
+
+def _assert_branches_are_frozen_equilibria(m, s_grid):
+    labels = _QSE_LABELS[m.name]
+    branches = qse_continuation(m, s_grid=s_grid)
+    assert len(branches) == len(labels)
+    followed = set()
+    for br in branches:
+        assert not br.flagged
+        assert list(br.s_values) == list(s_grid)
+        key = min(labels, key=lambda k: np.linalg.norm(br.states[0] - oracle_curve(m, k, s_grid[0])))
+        followed.add(key)
+        assert br.stability == labels[key]
+        for s, x in zip(br.s_values, br.states):
+            exact = oracle_curve(m, key, s)
+            assert np.max(np.abs(x - exact)) <= 1e-10 * max(1.0, np.max(np.abs(exact)))
+    assert followed == set(labels)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mu=st.floats(0.5, 1.5))
+def test_moving_cubic_qse_branches_are_frozen_equilibria(mu):
+    _assert_branches_are_frozen_equilibria(make_model("moving-cubic", mu=mu),
+                                           np.linspace(0.0, 4.0, 41))
+
+
+@settings(max_examples=6, deadline=None)
+@given(mu=st.floats(0.5, 1.5), p=st.sampled_from([1, 2, 3]))
+def test_moving_pitchfork_qse_branches_are_frozen_equilibria(mu, p):
+    # past s = 1.95 (at mu = 0.5) the p = 3 stable pair leaves the state box
+    _assert_branches_are_frozen_equilibria(make_model("moving-pitchfork", mu=mu, p=p),
+                                           np.linspace(0.0, 1.5, 16))
 
 
 def _assert_own_brackets(report, rates, resolution):

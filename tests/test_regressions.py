@@ -1,8 +1,8 @@
 """Regression tests for an unverified blow-up bracket, for the probe count
 each critical-rate bracket reports, for non-finite times and ranges, for
 finite-horizon tests given a bad horizon, for curve dedupe on large curves,
-for the step count and convergence of deep pullbacks, for an import free of
-scipy, and for the tipping predicate's known wrong answers."""
+for the step count and convergence of deep pullbacks, for an import and a
+core free of scipy, and for the tipping predicate's known wrong answers."""
 import ast
 import inspect
 import json
@@ -173,6 +173,44 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Every path that once called scipy, run while any scipy import fails.
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import numpy as np
+import tiplab as tl
+from tiplab.analysis import find_roots
+
+for name in tl.MODEL_NAMES:
+    assert tl.qse_continuation(tl.make_model(name)), name
+m = tl.make_model("moving-sn", mu=0.5, r=3.0 / 32.0)
+traj = tl.integrate(m.field, [0.25], 0.0, 20.0, tl.IntegratorConfig(escape_norm=m.escape_norm))
+assert traj.status == "escaped" and traj.bracket_verified
+assert tl.comoving_consistency_check(tl.make_model("moving-pitchfork"))["passed"]
+assert len(find_roots(lambda x: np.array([x[0] ** 3 - x[0]]), [(-2.0, 2.0)])) == 3
+f = lambda v: np.array([v[0] ** 2 - 1.0, v[1] + v[0]])
+assert len(find_roots(f, [(-2.0, 2.0), (-2.0, 2.0)])) == 2
+print("ok")
+"""
+
+
+def test_core_runs_with_scipy_blocked():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 class TestKnownWrongVerdicts:
