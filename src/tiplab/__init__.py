@@ -13,7 +13,6 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     VectorFieldHandle,
-    dense_eval,
     integrate,
 )
 from .models import (
@@ -59,7 +58,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "VectorFieldHandle",
-    "dense_eval",
     "integrate",
     "ComovingDescriptor",
     "CurveUndefined",

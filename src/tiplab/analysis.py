@@ -48,6 +48,14 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
+# Deepest pullback lookback, in model time, unless a caller bounds it.
+MAX_LOOKBACK = 4096.0
+# Lookback doublings k = 0, 1, ... stop here even below MAX_LOOKBACK.
+_MAX_DOUBLINGS = 40
+# Samples of a curve over a window: pullback curves, forward-attraction and
+# end-point-tracking distance traces.
+GRID_POINTS = 201
+
 
 def integrator_config(model: ModelSpec, overrides: Mapping | None = None) -> IntegratorConfig:
     """Integrator settings for a model: the defaults with the model's escape
@@ -102,7 +110,7 @@ def _noise_floor(cfg: IntegratorConfig, size: float) -> float:
 class PullbackJob:
     """One (rate, anchor) pullback estimate, built from lookback doublings.
 
-    Doubling k starts at lookback ``delta * 2**k`` and integrates an
+    Doubling k starts at lookback ``2**k`` and integrates an
     approach leg to the window start, then the window leg.  Each doubling's
     outcome (its window-leg trajectory, or None when either leg escaped) is
     kept once integrated, so ``relax`` to a looser tolerance or a longer
@@ -114,15 +122,12 @@ class PullbackJob:
     """
 
     def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
-                 tol: float, delta: float = 1.0, budget: int = 40,
-                 max_lookback: float = 4096.0, grid_points: int = 201):
+                 tol: float, max_lookback: float = MAX_LOOKBACK):
         self.model = model
         self.anchor = anchor
         self.sense = sense
         self.window = window
         self.tol = tol
-        self.delta = delta
-        self.budget = budget
         self.max_lookback = max_lookback
         t_a, t_b = window
         if not (math.isfinite(t_a) and math.isfinite(t_b)):
@@ -132,25 +137,20 @@ class PullbackJob:
         if not tol > 0:
             raise ValueError("tol must be positive")
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
-        self.grid = np.linspace(self.wa, self.wb, grid_points)
+        self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
         self.outcomes: dict[int, Trajectory | None] = {}
         self._curves: dict[int, np.ndarray] = {}
         self.estimate: PullbackEstimate | None = None
 
     def doublings(self) -> list[int]:
-        ks = []
-        for k in range(self.budget):
-            if self.delta * 2.0**k > self.max_lookback:
-                break
-            ks.append(k)
-        return ks
+        return [k for k in range(_MAX_DOUBLINGS) if 2.0**k <= self.max_lookback]
 
     def pending(self) -> list[int]:
         return [k for k in self.doublings() if k not in self.outcomes]
 
     def start_state(self, k: int) -> tuple[float, np.ndarray]:
         """Start time (in integration time) and state of doubling k."""
-        s_k = self.wa - self.delta * 2.0**k
+        s_k = self.wa - 2.0**k
         t_model = s_k if self.sense == "attracting" else -s_k
         return s_k, self.model.anchor_state(self.anchor, t_model)
 
@@ -171,7 +171,7 @@ class PullbackJob:
         prev = None
         last: Trajectory | None = None
         for k in self.doublings():
-            s_k = self.wa - self.delta * 2.0**k
+            s_k = self.wa - 2.0**k
             start_times.append(s_k if self.sense == "attracting" else -s_k)
             if k not in self.outcomes:
                 return False
@@ -302,19 +302,17 @@ def estimate_pullback(
     anchor=None,
     sense: str = "attracting",
     tol: float = 1e-8,
-    delta: float = 1.0,
-    budget: int = 40,
-    max_lookback: float = 4096.0,
-    grid_points: int = 201,
+    max_lookback: float = MAX_LOOKBACK,
     cfg: IntegratorConfig | None = None,
 ) -> PullbackEstimate:
     """Estimate a pullback attractor (or repeller, via time reversal).
 
-    Start times recede as s_k = t_a - delta*2^k until two successive gaps
-    between window-restricted curves are below ``tol`` in sup norm (scaled
-    by the curve magnitude when it exceeds unity) and the last is no larger
-    than the one before or within the integrator's error noise floor.  The
-    doublings are integrated together as members of one batch.
+    Start times recede as s_k = t_a - 2^k, back to at most ``max_lookback``,
+    until two successive gaps between window-restricted curves are below
+    ``tol`` in sup norm (scaled by the curve magnitude when it exceeds unity)
+    and the last is no larger than the one before or within the integrator's
+    error noise floor.  The doublings are integrated together as members of
+    one batch.
     """
     if r is not None:
         model = model.with_rate(r)
@@ -328,7 +326,7 @@ def estimate_pullback(
         anchor = pool[0]
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
     job = PullbackJob(model, anchor, sense, (float(window[0]), float(window[1])), tol,
-                      delta, budget, max_lookback, grid_points)
+                      max_lookback)
     run_pullbacks([job], cfg)
     return job.estimate
 
@@ -370,7 +368,6 @@ def forward_attraction_test(
     t0: float | None = None,
     basin_radius: float | None = None,
     cfg: IntegratorConfig | None = None,
-    grid_points: int = 201,
 ) -> Diagnostic:
     """Probe forward attraction of a candidate curve by perturbed reruns.
 
@@ -391,9 +388,9 @@ def forward_attraction_test(
         gap = model.attractor_repeller_gap()
         basin_radius = 0.25 * gap if gap else 0.1
 
-    grid = np.linspace(start, t1, grid_points)
+    grid = np.linspace(start, t1, GRID_POINTS)
     ref = curve(grid)
-    iq = int(0.75 * (grid_points - 1))
+    iq = int(0.75 * (GRID_POINTS - 1))
     # distances below the integrator's own error are indistinguishable noise
     floor = _noise_floor(cfg, float(np.max(np.abs(ref))))
 
@@ -568,9 +565,9 @@ def find_roots(f, box, seeds=(), tol=1e-12, scan_points=41):
     return roots
 
 
-def _stability_label(eigs, margin=1e-9):
+def _stability_label(eigs):
     re = np.real(eigs)
-    if np.any(np.abs(re) <= margin):
+    if np.any(np.abs(re) <= 1e-9):
         return "degenerate"
     if np.all(re < 0):
         return "stable"
@@ -583,9 +580,6 @@ def qse_continuation(
     model: ModelSpec,
     r: float | None = None,
     s_grid=None,
-    tol: float = 1e-12,
-    scan_points: int = 41,
-    margin: float = 1e-9,
 ) -> list[QseBranch]:
     """Continue all frozen-system equilibria x_*(λ(rs)) over a time grid."""
     if r is not None:
@@ -605,7 +599,7 @@ def qse_continuation(
     for s in s_grid:
         frozen = lambda x, s=s: model.rhs(x, s, rate)  # model.field without its checks
         seeds = [br.samples[-1].x for br in active]
-        roots = find_roots(frozen, model.state_box(s), seeds=seeds, tol=tol, scan_points=scan_points)
+        roots = find_roots(frozen, model.state_box(s), seeds=seeds)
         lam = model.ramp.value(s)
         allowed = 4.0 * abs(lam - prev_lam) + 0.25
         prev_lam = lam
@@ -613,22 +607,25 @@ def qse_continuation(
         samples = []
         for x in roots:
             eigs = np.linalg.eigvals(_fd_jacobian(frozen, x))
-            samples.append(QseSample(float(s), x, _stability_label(eigs, margin), eigs))
+            samples.append(QseSample(float(s), x, _stability_label(eigs), eigs))
 
-        unmatched = list(range(len(samples)))
+        # closest (branch, root) pair first, so a root goes to its nearest
+        # branch whatever the branch order; ties go to the first branch
+        match: dict[int, int] = {}
+        for d, b, j in sorted((float(np.linalg.norm(smp.x - br.samples[-1].x)), b, j)
+                              for b, br in enumerate(active) for j, smp in enumerate(samples)):
+            if d <= allowed and b not in match and j not in match.values():
+                match[b] = j
         still_active = []
-        for br in active:
-            dist = {j: float(np.linalg.norm(samples[j].x - br.samples[-1].x)) for j in unmatched}
-            best = min(unmatched, key=dist.get, default=None)  # first of any tie
-            if best is not None and dist[best] <= allowed:
-                unmatched.remove(best)
-                br.samples.append(samples[best])
-                br.flagged |= samples[best].stability == "degenerate"
+        for b, br in enumerate(active):
+            if b in match:
+                br.samples.append(samples[match[b]])
+                br.flagged |= samples[match[b]].stability == "degenerate"
                 still_active.append(br)
             else:
                 done.append(br)  # branch death inside the grid
-        still_active += [QseBranch([samples[j]], samples[j].stability == "degenerate")
-                         for j in unmatched]
+        still_active += [QseBranch([smp], smp.stability == "degenerate")
+                         for j, smp in enumerate(samples) if j not in match.values()]
         active = still_active
 
     done.extend(active)
@@ -645,7 +642,6 @@ def endpoint_tracking_test(
     horizon: float = 10.0,
     eps: float = 0.01,
     t0: float | None = None,
-    grid_points: int = 201,
 ) -> Diagnostic:
     """Compare a solution curve against a QSE branch over a finite horizon.
 
@@ -672,10 +668,10 @@ def endpoint_tracking_test(
     if hi > min(end, b_hi) + 1e-12:
         raise TiplabError("branch or curve does not span the requested horizon")
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     # a row-wise norm can differ in the last bit, so each point takes its own
     d = np.array([float(np.linalg.norm(c - b)) for c, b in zip(cfun(grid), bfun(grid))])
-    iq = int(0.75 * (grid_points - 1))
+    iq = int(0.75 * (GRID_POINTS - 1))
     floor = 1e-7 * (1.0 + float(np.max(d)))
     if d[-1] < eps and _monotone(d[iq:], "dec", floor):
         verdict = HOLDS
@@ -697,7 +693,6 @@ def endpoint_tracking_test(
 def comoving_consistency_check(
     model: ModelSpec,
     r: float | None = None,
-    samples: int = 40,
     seed: int = 0,
     window: tuple[float, float] = (0.0, 3.0),
     cfg: IntegratorConfig | None = None,
@@ -720,9 +715,9 @@ def comoving_consistency_check(
     cfg = cfg or integrator_config(model)
     rng = np.random.default_rng(seed)
 
-    # (a) algebraic identity at randomized (x, t)
+    # (a) algebraic identity at 40 randomized (x, t)
     alg = 0.0
-    for _ in range(samples):
+    for _ in range(40):
         t = float(rng.uniform(-3.0, 3.0))
         box = model.state_box(t) if model.state_box else [(-2.0, 2.0)] * model.dimension
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])

@@ -389,8 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rates", help="comma-separated rates")
     sp.add_argument("--r-range", dest="r_range", help="a,b,n (linear grid)")
     sp.add_argument("--window", help="observation window a,b")
-    sp.add_argument("--threads", type=int, help="worker count, validated only: "
-                    "the sweep runs as one batch (default: TIPLAB_THREADS or 1)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker count, checked to be >= 1 but starting no threads: "
+                    "the sweep runs as one batch (default: 1)")
 
     sp = sub.add_parser("figure", help="emit data tables for standard figures")
     common(sp)

@@ -33,7 +33,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "integrate",
-    "dense_eval",
 ]
 
 COMPLETED = "completed"
@@ -274,11 +273,6 @@ class Trajectory:
             idx = n - 1 - idx
         out = self._poly(idx, t_arr)
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def dense_eval(traj: Trajectory, t):
-    """Evaluate a trajectory's dense output at time(s) t."""
-    return traj.eval(t)
 
 
 # The per-member arrays of a Batch, one entry per active member.

@@ -441,7 +441,9 @@ def make_moving_pitchfork(mu: float = 1.0, r: float = 0.5, p: int = 1) -> ModelS
         lam = ramp.value(s)
         dl = ramp.slope(s)
         c = -lam - dl + r
-        return [(c - 2.0, c + 2.0), (-ybound, ybound)]
+        # wide enough for the stable QSE pair at ±sqrt(dλ/dt - r + mu)
+        yb = math.sqrt(max(mu + abs(r), dl - r + mu) + 1.0) + 1.0
+        return [(c - 2.0, c + 2.0), (-yb, yb)]
 
     return ModelSpec(
         name="moving-pitchfork",

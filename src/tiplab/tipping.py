@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 from .analysis import (  # noqa: F401  (estimate_pullback stays importable here)
     CONVERGED,
     ESCAPED_DURING_PULLBACK,
+    MAX_LOOKBACK,
     Diagnostic,
     PullbackEstimate,
     PullbackJob,
@@ -39,25 +39,14 @@ __all__ = [
     "find_critical_rate",
     "locality_probe",
     "sweep",
-    "thread_count",
 ]
 
 # Two pullback curves are the same curve when their sup-norm gap is below this
 # times max(1, the larger curve's sup norm), scaled as a pullback's own tol is.
 CURVE_DEDUPE_GAP = 1e-4
 
-
-def thread_count(threads: int | None = None) -> int:
-    """Resolve a worker count from the argument or TIPLAB_THREADS."""
-    if threads is None:
-        raw = os.environ.get("TIPLAB_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise TiplabError(f"TIPLAB_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise TiplabError("thread count must be >= 1")
-    return threads
+# Log-spaced probes per decade of |r| in the scan of ``find_critical_rate``.
+_SCAN_PER_DECADE = 40
 
 
 @dataclass
@@ -180,7 +169,7 @@ def rate_diagnostics(
     window: tuple[float, float] = (0.0, 4.0),
     anchors: Sequence | None = None,
     tol: float = 1e-8,
-    max_lookback: float = 4096.0,
+    max_lookback: float = MAX_LOOKBACK,
     cfg: IntegratorConfig | None = None,
     include_forward: bool = True,
     forward_horizon: float = 20.0,
@@ -304,10 +293,8 @@ def _classify(model: ModelSpec, lo: float, hi: float) -> str:
     return "unclassified"
 
 
-def _scan_rates(
-    r_range: tuple[float, float], resolution: float, scan_per_decade: int = 40
-) -> np.ndarray:
-    """The log-spaced scan of ``find_critical_rate``: ``scan_per_decade``
+def _scan_rates(r_range: tuple[float, float], resolution: float) -> np.ndarray:
+    """The log-spaced scan of ``find_critical_rate``: ``_SCAN_PER_DECADE``
     probes per decade of |r|, on both signs when the range straddles zero,
     keeping |r| >= max(resolution, 1e-6)."""
     lo, hi = float(r_range[0]), float(r_range[1])
@@ -315,7 +302,7 @@ def _scan_rates(
 
     def grid_of(a: float, b: float) -> np.ndarray:
         # log-spaced scan of a single-signed interval [a, b], 0 < a < b
-        n = max(2, int(math.ceil(scan_per_decade * math.log10(b / a))) + 1)
+        n = max(2, int(math.ceil(_SCAN_PER_DECADE * math.log10(b / a))) + 1)
         return np.geomspace(a, b, n)
 
     pieces = []
@@ -436,16 +423,15 @@ def find_critical_rate(
     window: tuple[float, float] = (0.0, 4.0),
     anchors: Sequence | None = None,
     tol: float = 1e-6,
-    scan_per_decade: int = 40,
-    max_lookback: float = 4096.0,
+    max_lookback: float = MAX_LOOKBACK,
     cfg: IntegratorConfig | None = None,
 ) -> TippingReport:
     """Bracket every critical rate in a range by scan + bisection.
 
-    The scan places ``scan_per_decade`` log-spaced probes per decade of |r|
-    (both signs when the range straddles zero) and decides them in one
-    batch; each flip of the tipping predicate between neighboring probes
-    seeds a bisection down to ``resolution``.  The bisection runs in
+    The scan places 40 log-spaced probes per decade of |r| (both signs
+    when the range straddles zero) and decides them in one batch; each
+    flip of the tipping predicate between neighboring probes seeds a
+    bisection down to ``resolution``.  The bisection runs in
     rounds: one batch decides the midpoints of the next three levels of
     every open bracket, and each bracket then keeps the half whose ends
     disagree, level by level, as a one-midpoint-at-a-time bisection would.
@@ -463,7 +449,7 @@ def find_critical_rate(
         raise ValueError("r_range must be increasing")
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    scan = [float(r) for r in _scan_rates(r_range, resolution, scan_per_decade)]
+    scan = [float(r) for r in _scan_rates(r_range, resolution)]
     cfg = cfg or integrator_config(model)
 
     def decide(rates: list[float]) -> list[bool | None]:
@@ -543,7 +529,7 @@ def locality_probe(
 def sweep(
     model: ModelSpec,
     r_values: Sequence[float],
-    threads: int | None = None,
+    threads: int = 1,
     window: tuple[float, float] = (0.0, 4.0),
     anchors: Sequence | None = None,
     tol: float = 1e-8,
@@ -553,15 +539,16 @@ def sweep(
 
     Each verdict comes from the batched predicate of ``find_critical_rate``,
     relaxed retry included.  Results come back in the order of ``r_values``.
-    ``threads`` (or ``TIPLAB_THREADS``) is validated but starts no threads:
+    ``threads`` must be at least 1 (else ValueError) but starts no threads:
     every rate, anchor and lookback doubling is a member of one batch in the
     calling thread, and a member's result does not depend on the batch, so
     the output is identical at any worker count.
     """
     r_values = [float(r) for r in r_values]
-    thread_count(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     if not r_values:
         return []
     cfg = cfg or integrator_config(model)
     return [d.summary() for d in
-            _diagnose_rates(model, r_values, anchors, window, tol, 4096.0, cfg)]
+            _diagnose_rates(model, r_values, anchors, window, tol, MAX_LOOKBACK, cfg)]

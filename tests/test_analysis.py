@@ -69,7 +69,7 @@ class TestEstimatePullback:
 
     def test_not_converged_when_budget_tiny(self):
         m = make_model("drift", r=0.01)
-        est = estimate_pullback(m, window=(0.0, 1.0), budget=2, tol=1e-14)
+        est = estimate_pullback(m, window=(0.0, 1.0), max_lookback=2.0, tol=1e-14)
         assert est.status == NOT_CONVERGED
 
     def test_bad_sense_rejected(self):
@@ -218,6 +218,16 @@ class TestQseContinuation:
         keys = [tuple(np.round(br.samples[0].x, 9)) for br in branches]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    def test_roots_go_to_the_nearest_branch(self):
+        # the y = 0 root must continue the saddle branch, not a ±y branch that
+        # comes first in list order
+        m = make_model("moving-pitchfork", mu=0.5, r=1.2, p=2)
+        branches = qse_continuation(m, s_grid=np.linspace(-20.0, 20.0, 81))
+        assert "mixed" not in [br.stability for br in branches]
+        (saddle,) = [br for br in branches if br.stability == "saddle"]
+        assert (saddle.s_values[0], saddle.s_values[-1]) == (-0.5, 20.0)
+        assert np.all(saddle.states[:, 1] == 0.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

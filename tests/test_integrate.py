@@ -9,7 +9,6 @@ from tiplab.integrate import (
     STEP_UNDERFLOW,
     IntegratorConfig,
     VectorFieldHandle,
-    dense_eval,
     integrate,
 )
 
@@ -79,7 +78,6 @@ class TestIntegrate:
         vals = traj.eval(grid)
         assert vals.shape == (11, 1)
         assert np.max(np.abs(vals[:, 0] - np.exp(-grid))) < 1e-8
-        assert dense_eval(traj, 0.5)[0] == traj.eval(0.5)[0]
 
     def test_dense_output_backward(self):
         traj = integrate(linear_decay(), [1.0], 0.0, -1.0)

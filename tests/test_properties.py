@@ -120,9 +120,8 @@ def test_moving_cubic_qse_branches_are_frozen_equilibria(mu):
 @settings(max_examples=6, deadline=None)
 @given(mu=st.floats(0.5, 1.5), p=st.sampled_from([1, 2, 3]))
 def test_moving_pitchfork_qse_branches_are_frozen_equilibria(mu, p):
-    # past s = 1.95 (at mu = 0.5) the p = 3 stable pair leaves the state box
     _assert_branches_are_frozen_equilibria(make_model("moving-pitchfork", mu=mu, p=p),
-                                           np.linspace(0.0, 1.5, 16))
+                                           np.linspace(0.0, 4.0, 41))
 
 
 def _assert_own_brackets(report, rates, resolution):

@@ -2,8 +2,10 @@
 each critical-rate bracket reports, for non-finite times and ranges, for
 finite-horizon tests given a bad horizon, for curve dedupe on large curves,
 for the step count and convergence of deep pullbacks, for an import and a
-core free of scipy, and for the tipping predicate's known wrong answers."""
+core free of scipy, for every exported name, and for the tipping predicate's
+known wrong answers."""
 import ast
+import importlib
 import inspect
 import json
 import math
@@ -173,6 +175,13 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["tiplab", "tiplab.integrate", "tiplab.models",
+                                  "tiplab.analysis", "tiplab.tipping"])
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 # Every path that once called scipy, run while any scipy import fails.

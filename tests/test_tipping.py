@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from tiplab.models import TiplabError, make_model
+from tiplab.models import make_model
 from tiplab.tipping import (
     find_critical_rate,
     locality_probe,
     rate_diagnostics,
     sweep,
-    thread_count,
 )
 
 
@@ -115,17 +114,3 @@ class TestSweep:
         seq = json.dumps(sweep(m, rates, threads=1, window=(0.0, 2.0)))
         par = json.dumps(sweep(m, rates, threads=4, window=(0.0, 2.0)))
         assert seq == par
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("TIPLAB_THREADS", "3")
-        assert thread_count(None) == 3
-        assert thread_count(2) == 2
-        monkeypatch.setenv("TIPLAB_THREADS", "zebra")
-        with pytest.raises(TiplabError):
-            thread_count(None)
-        with pytest.raises(TiplabError):
-            thread_count(0)
-
-    def test_default_single_thread(self, monkeypatch):
-        monkeypatch.delenv("TIPLAB_THREADS", raising=False)
-        assert thread_count(None) == 1
