@@ -9,6 +9,7 @@ emit the full distance trace alongside a three-way verdict.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
@@ -19,7 +20,6 @@ from .integrate import (
     COMPLETED,
     Batch,
     IntegratorConfig,
-    Trajectory,
     VectorFieldHandle,
     _zero_in,
     integrate,
@@ -86,6 +86,9 @@ class PullbackEstimate:
     _evaluator: Callable | None = field(default=None, repr=False)
 
     def eval(self, t):
+        """The curve at time(s) t.  The first call integrates the last
+        doubling's window leg again, alone from its window-start state, so
+        that, by batch independence, ``eval(times)`` equals ``states``."""
         if self._evaluator is None:
             raise TiplabError(f"estimate with status {self.status!r} has no curve")
         return self._evaluator(t)
@@ -107,18 +110,37 @@ def _noise_floor(cfg: IntegratorConfig, size: float) -> float:
     return 100.0 * (cfg.abs_tol + cfg.rel_tol * size)
 
 
+def _sense_rhs(model: ModelSpec, sense: str):
+    """The batch rhs of a pullback in integration time: the time-reversed
+    field for the repelling sense."""
+    if sense == "repelling":
+        return lambda X, T, R, f=model.rhs: -f(X, -T, R)
+    return model.rhs
+
+
+def _window_leg(model: ModelSpec, sense: str, wa: float, wb: float, x0: np.ndarray,
+                cfg: IntegratorConfig) -> Callable:
+    """An evaluator of the window leg from (wa, x0) to wb, integrated on its
+    first call as a lone member with ``run_pullbacks``' settings."""
+    leg = functools.cache(lambda: integrate_members(
+        _sense_rhs(model, sense), model.dimension, x0[None, :], wa, wb, cfg, model.rate,
+        record=True).trajectory(0))
+    return lambda t: leg().eval(t if sense == "attracting" else -np.asarray(t))
+
+
 class PullbackJob:
     """One (rate, anchor) pullback estimate, built from lookback doublings.
 
     Doubling k starts at lookback ``2**k`` and integrates an
     approach leg to the window start, then the window leg.  Each doubling's
-    outcome (its window-leg trajectory, or None when either leg escaped) is
-    kept once integrated, so ``relax`` to a looser tolerance or a longer
-    lookback reuses it: ``resolve`` replays the sequential doubling loop
-    over the kept outcomes, and the tolerance enters only its convergence
-    test: two successive sup gaps below ``tol * max(1, sup|curve|)``, the
-    last no larger than the one before unless it lies within the
-    integrator's noise floor ``_noise_floor``, where gaps stop falling.
+    outcome (its window-leg curve on ``grid``, or None when either leg
+    escaped) is kept once integrated, so ``relax`` to a looser tolerance or
+    a longer lookback reuses it: ``resolve`` replays the sequential doubling
+    loop over the kept outcomes, each gap computed once, and the tolerance
+    enters only its convergence test: two successive sup gaps below
+    ``tol * max(1, sup|curve|)``, the last no larger than the one before
+    unless it lies within the integrator's noise floor ``_noise_floor``,
+    where gaps stop falling.
     """
 
     def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
@@ -138,8 +160,9 @@ class PullbackJob:
             raise ValueError("tol must be positive")
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
         self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
-        self.outcomes: dict[int, Trajectory | None] = {}
-        self._curves: dict[int, np.ndarray] = {}
+        self.outcomes: dict[int, np.ndarray | None] = {}
+        self._window_starts: dict[int, np.ndarray] = {}
+        self._gaps: dict[int, tuple[float, float]] = {}
         self.estimate: PullbackEstimate | None = None
 
     def doublings(self) -> list[int]:
@@ -154,10 +177,10 @@ class PullbackJob:
         t_model = s_k if self.sense == "attracting" else -s_k
         return s_k, self.model.anchor_state(self.anchor, t_model)
 
-    def record(self, k: int, traj: Trajectory | None) -> None:
-        self.outcomes[k] = traj
-        if traj is not None:
-            self._curves[k] = traj.eval(self.grid)
+    def record(self, k: int, curve: np.ndarray | None, x_wa: np.ndarray | None) -> None:
+        """Keep doubling k's window-leg curve and its window-start state."""
+        self.outcomes[k] = curve
+        self._window_starts[k] = x_wa
 
     def relax(self, tol: float, max_lookback: float) -> None:
         self.tol, self.max_lookback = tol, max_lookback
@@ -168,23 +191,22 @@ class PullbackJob:
         start_times: list[float] = []
         gaps: list[float] = []
         status = NOT_CONVERGED
-        prev = None
-        last: Trajectory | None = None
+        prev = None  # the last doubling with a curve
         for k in self.doublings():
             s_k = self.wa - 2.0**k
             start_times.append(s_k if self.sense == "attracting" else -s_k)
             if k not in self.outcomes:
                 return False
-            traj = self.outcomes[k]
-            if traj is None:
+            if self.outcomes[k] is None:
                 status = ESCAPED_DURING_PULLBACK
-                last = None
                 break
-            curve = self._curves[k]
-            last = traj
             if prev is not None:
-                gaps.append(float(np.max(np.abs(curve - prev))))
-                size = float(np.max(np.abs(curve)))
+                if k not in self._gaps:  # (sup gap to doubling k - 1, sup|curve|)
+                    curve = self.outcomes[k]
+                    self._gaps[k] = (float(np.max(np.abs(curve - self.outcomes[prev]))),
+                                     float(np.max(np.abs(curve))))
+                gap, size = self._gaps[k]
+                gaps.append(gap)
                 tol_eff = self.tol * max(1.0, size)
                 if (
                     len(gaps) >= 2
@@ -193,21 +215,19 @@ class PullbackJob:
                     and (gaps[-1] <= gaps[-2] or gaps[-1] <= _noise_floor(cfg, size))
                 ):
                     status = CONVERGED
-                    prev = curve
+                    prev = k
                     break
-            prev = curve
+            prev = k
 
-        dim = self.model.dimension
+        curve = np.empty((0, self.model.dimension)) if prev is None else self.outcomes[prev]
         if self.sense == "attracting":
-            times = self.grid
-            states = prev if prev is not None else np.empty((0, dim))
-            evaluator = (lambda t, tr=last: tr.eval(t)) if last is not None else None
+            times, states = self.grid, curve
         else:
-            times = -self.grid[::-1]
-            states = prev[::-1] if prev is not None else np.empty((0, dim))
-            evaluator = (
-                (lambda t, tr=last: tr.eval(-np.asarray(t))) if last is not None else None
-            )
+            times, states = -self.grid[::-1], curve[::-1]
+        evaluator = None
+        if status == CONVERGED:
+            evaluator = _window_leg(self.model, self.sense, self.wa, self.wb,
+                                    self._window_starts[prev], cfg)
         note = f"{self.model.anchor_mode} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
             window=tuple(self.window),
@@ -219,7 +239,7 @@ class PullbackJob:
             convergence_gaps=gaps,
             status=status,
             sense=self.sense,
-            _evaluator=evaluator if status == CONVERGED else None,
+            _evaluator=evaluator,
         )
         return True
 
@@ -230,10 +250,10 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     Every (job, doubling) pair is one member of a single Dormand–Prince
     batch.  A member runs its approach leg with no step cap (error control
     sets each step; the attracting dynamics contract that error away), then
-    restarts on the window leg with a fresh initial step and ``cfg.max_step``.
-    Each job resolves in doubling order and drops its remaining members once
-    it converges or escapes.  All jobs must share one model family, sense
-    and ``cfg``.
+    restarts on the window leg with a fresh initial step and ``cfg.max_step``,
+    sampled onto the job's grid while it steps.  Each job resolves in
+    doubling order and drops its remaining members once it converges or
+    escapes.  All jobs must share one model family, sense and ``cfg``.
     """
     jobs = [job for job in jobs if not job.resolve(cfg)]
     if not jobs:
@@ -242,16 +262,13 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     family = lambda m: (m.name, {k: v for k, v in m.params.items() if k != "r"})
     if any(job.sense != sense or family(job.model) != family(model) for job in jobs):
         raise ValueError("a pullback batch needs one model family and one sense")
-    rhs = model.rhs
-    if sense == "repelling":
-        rhs = lambda X, T, R, f=model.rhs: -f(X, -T, R)
     members = [(job, k) for job in jobs for k in job.pending()]
     ids_of = {}
     for i, (job, _) in enumerate(members):
         ids_of.setdefault(id(job), []).append(i)
     starts = [job.start_state(k) for job, k in members]
     rates = np.array([job.model.rate for job, _ in members])
-    batch = Batch(rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
+    batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
                   cfg.escape_norm, cfg.min_step)
     stopped = batch.start(
         np.arange(len(members)),
@@ -260,32 +277,31 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
         [job.wa for job, _ in members],
         rates,
     )
-    windowed = np.zeros(len(members), dtype=bool)
+    x_wa: dict[int, np.ndarray] = {}  # window-start states of the window legs
     while stopped or batch.n_active:
         restart = []
         for i in stopped:
             job, k = members[i]
             if job.estimate is not None:
                 continue
-            status = batch.final[i][0]
-            if not windowed[i] and status == COMPLETED:
+            if i not in x_wa and batch.final[i][0] == COMPLETED:
                 restart.append(i)
                 continue
-            job.record(k, batch.trajectory(i) if status == COMPLETED else None)
+            job.record(k, batch.samples.pop(i, None), x_wa.get(i))
             if job.resolve(cfg):
                 batch.drop(ids_of[id(job)])
         restart = [i for i in restart if members[i][0].estimate is None]
         stopped = []
         if restart:
-            windowed[restart] = True
+            x_wa.update((i, batch.final[i][2]) for i in restart)
             stopped = batch.start(
                 restart,
-                np.array([batch.final[i][2] for i in restart]),
+                np.array([x_wa[i] for i in restart]),
                 [members[i][0].wa for i in restart],
                 [members[i][0].wb for i in restart],
                 rates[restart],
                 max_step=cfg.max_step,
-                record=True,
+                grid=np.array([members[i][0].grid for i in restart]),
             )
         if not stopped and batch.n_active:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -407,25 +423,26 @@ def forward_attraction_test(
     x0 = ref[0] + np.reshape(offs, (-1, model.dimension))
     if not np.all(np.isfinite(x0)):
         raise ValueError("probe start states must be finite")
-    # every probe is one member of a single batch
-    trajs = (integrate_members(model.rhs, model.dimension, x0, start, t1, cfg, model.rate)
-             if offs else [])
+    # every probe is one member of a single batch, sampled on the grid
+    probes = (integrate_members(model.rhs, model.dimension, x0, start, t1, cfg, model.rate,
+                                grid=grid) if offs else None)
 
     traces = []
     any_fail = False
     holds_ok = []
-    for off, traj in zip(offs, trajs):
+    for j, off in enumerate(offs):
         size = float(np.linalg.norm(off))
         in_radius = size <= basin_radius
         rec = {"offset": off.tolist(), "in_basin_radius": in_radius}
-        if traj.status != COMPLETED:
+        status = probes.final[j][0]
+        if status != COMPLETED:
             rec["escaped"] = True
-            rec["status"] = traj.status
+            rec["status"] = status
             if in_radius:
                 any_fail = True
             traces.append(rec)
             continue
-        d = np.linalg.norm(traj.eval(grid) - ref, axis=1)
+        d = np.linalg.norm(probes.samples[j] - ref, axis=1)
         rec["escaped"] = False
         rec["distance_start"] = float(d[0])
         rec["distance_end"] = float(d[-1])

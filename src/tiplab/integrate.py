@@ -12,10 +12,11 @@ controller and the initial-step heuristic are those of Dormand & Prince,
 ODEs I*, §II.4–II.6; the quartic dense output is Shampine's, *Math. Comp.* 46
 (1986).
 
-``integrate`` is the one-member case.  It keeps dense output per accepted
-step, stops with status ``escaped`` when the state norm reaches an escape
-threshold (then brackets the blow-up time), and with ``step_underflow`` when
-step control drives the step below ``min_step`` without an escape.
+``integrate`` is the one-member case.  It records every accepted step for a
+``Trajectory`` with dense output, stops with status ``escaped`` when the
+state norm reaches an escape threshold (then brackets the blow-up time), and
+with ``step_underflow`` when step control drives the step below ``min_step``
+without an escape.  Pullback legs and forward probes are sampled instead.
 """
 from __future__ import annotations
 
@@ -81,7 +82,10 @@ def _weights(coeffs):
 _A_W = [None] + [_weights(a) for a in _A[1:]]
 _B_W = _weights(_B)
 _E_W = _weights(_E)
-_P_W = [_weights([p[c] for p in _P]) for c in range(4)]
+# Column 0 of _P is stage 0 alone, with weight 1; columns 1-3 share their
+# nonzero stages, so one accumulation gives all three.
+_P_IDX = [0, 2, 3, 4, 5, 6]
+_P_W = np.array([_P[j][1:] for j in _P_IDX])[:, None, None, :]
 
 
 def _wsum(K: np.ndarray, weights) -> np.ndarray:
@@ -120,6 +124,25 @@ def _fsum(K: list, weights) -> list:
             acc = acc + K[j][c] * w
         out.append(acc)
     return out
+
+
+def _coeffs(K: np.ndarray) -> np.ndarray:
+    """Dense-output coefficients q[n, d, 4] of the steps with stages
+    K[7, n, d]: column c is ``_wsum`` over column c of ``_P``, in stage order."""
+    q = np.empty(K.shape[1:] + (4,))
+    q[..., 0] = K[0]
+    q[..., 1:] = np.add.accumulate(K[_P_IDX][..., None] * _P_W, axis=0)[-1]
+    return q
+
+
+def _dense(q, t_old, h, y_old, t):
+    """Shampine's quartic of steps (t_old[i], t_old[i] + h[i]) from states
+    y_old[i] with coefficients q[i, d, 4], at times t[i]."""
+    x = ((t - t_old) / h)[:, None]
+    x2 = x * x
+    x3 = x2 * x
+    s = q[:, :, 0] * x + q[:, :, 1] * x2 + q[:, :, 2] * x3 + q[:, :, 3] * (x3 * x)
+    return s * h[:, None] + y_old
 
 
 def _fnorm(q: list) -> float:
@@ -249,13 +272,8 @@ class Trajectory:
     def _poly(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Step idx[i]'s dense-output polynomial at time t[i]."""
         t_old = self.times[idx]
-        h = self.times[idx + 1] - t_old
-        q = self.coeffs[idx]
-        x = ((t - t_old) / h)[:, None]
-        x2 = x * x
-        x3 = x2 * x
-        s = q[:, :, 0] * x + q[:, :, 1] * x2 + q[:, :, 2] * x3 + q[:, :, 3] * (x3 * x)
-        return s * h[:, None] + self.states[idx]
+        return _dense(self.coeffs[idx], t_old, self.times[idx + 1] - t_old,
+                      self.states[idx], t)
 
     def eval(self, t):
         """Interpolated state at time(s) t inside the sampled range."""
@@ -277,7 +295,7 @@ class Trajectory:
 
 # The per-member arrays of a Batch, one entry per active member.
 _MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "t_bound",
-                  "direction", "max_step", "rate", "record")
+                  "direction", "max_step", "rate", "record", "slot", "pos")
 
 
 class Batch:
@@ -293,8 +311,12 @@ class Batch:
     reaches ``escape_norm`` or stops being finite (``escaped``), or when its
     step underflows: below ten units in the last place of t on a retry, or
     below ``min_step`` away from the end time (``step_underflow``).  Members
-    started with ``record`` keep every accepted step for ``trajectory``;
-    the others keep only their current state.
+    started with ``record`` keep every accepted step for ``trajectory``.
+    A member started forward with an ascending ``grid`` gets, from each
+    accepted step, the dense output at the grid points in [t, t_new), and
+    from the step that reaches the end time at all points left: the step
+    and arithmetic ``Trajectory.eval`` would use.  It holds a pool row while
+    active and, if it completes, leaves its curve in ``samples``.
     """
 
     def __init__(self, rhs, dim: int, rtol: float, atol: float,
@@ -316,21 +338,26 @@ class Batch:
         self.max_step = np.empty(0)
         self.rate = np.empty(0)
         self.record = np.empty(0, dtype=bool)
+        self.slot = np.empty(0, dtype=np.intp)
+        self.pos = np.empty(0, dtype=np.intp)
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
-        self._origin: dict[int, tuple[float, np.ndarray]] = {}
-        self._rows: dict[int, list[tuple[int, int]]] = {}
-        self._log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.samples: dict[int, np.ndarray] = {}
+        # sample pool: grid times and samples by slot, and the free slots
+        self._grid, self._curve = np.empty((0, 0)), np.empty((0, 0, dim))
+        self._free: list[int] = []
+        # each recording member's start and accepted steps: (t, y, K)
+        self._steps: dict[int, list[tuple]] = {}
 
     @property
     def n_active(self) -> int:
         return len(self.ids)
 
     def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf,
-              record=False) -> list[int]:
+              record=False, grid=None) -> list[int]:
         """Start members ``ids`` at (t0, x0) toward t1 (all t1 != t0).
 
-        Returns the ids that stopped at once, their norm already at or above
-        ``escape_norm``.
+        ``grid`` is one sample grid for all, or one row each.  Returns the
+        ids that stopped at once, their norm already at or above ``escape_norm``.
         """
         ids = np.asarray(ids, dtype=np.intp).reshape(-1)
         n = len(ids)
@@ -340,11 +367,14 @@ class Batch:
             for v in (t0, t1, rate, max_step)
         )
         direction = np.where(t1 > t0, 1.0, -1.0)
+        if grid is not None:
+            if np.any(direction < 0):
+                raise ValueError("sampled members must run forward in time")
+            grid = np.broadcast_to(np.asarray(grid, dtype=float), (n, np.shape(grid)[-1]))
         rec = np.broadcast_to(np.asarray(record, dtype=bool), (n,)).copy()
         for j in np.flatnonzero(rec):
             i = int(ids[j])
-            self._origin[i] = (float(t0[j]), x0[j].copy())
-            self._rows[i] = []
+            self._steps[i] = [(float(t0[j]), x0[j].copy(), None)]
         out = ~(_norm2(x0) < self.escape_norm)
         stopped = []
         if out.any():
@@ -355,14 +385,32 @@ class Batch:
             ids, x0, t0, t1, rate, max_step, direction, rec = (
                 v[keep] for v in (ids, x0, t0, t1, rate, max_step, direction, rec)
             )
+            grid = None if grid is None else grid[keep]
         if not len(ids):
             return stopped
         f0, h_abs = self._initial_step(x0, t0, t1, rate, max_step, direction)
+        slot = np.full(len(ids), -1, dtype=np.intp) if grid is None else self._slots(grid)
         new = (ids, t0, x0, f0, h_abs, np.zeros(len(ids), dtype=bool), t1,
-               direction, max_step, rate, rec)
+               direction, max_step, rate, rec, slot, np.zeros(len(ids), dtype=np.intp))
         for name, values in zip(_MEMBER_ARRAYS, new):
             setattr(self, name, np.concatenate((getattr(self, name), values)))
         return stopped
+
+    def _slots(self, grid: np.ndarray) -> np.ndarray:
+        """Pool slots holding the sample grids grid[n, g], the pool grown as
+        needed; every grid of a batch has the same length g."""
+        (n, g), old = grid.shape, len(self._grid)
+        if old and self._grid.shape[1] != g:
+            raise ValueError("every sample grid of a batch must have one length")
+        if n > len(self._free):  # grown just enough: rows stay as few as active members
+            more = n - len(self._free)
+            self._grid = np.concatenate((self._grid.reshape(old, g), np.empty((more, g))))
+            self._curve = np.concatenate((self._curve.reshape(old, g, self.dim),
+                                          np.empty((more, g, self.dim))))
+            self._free.extend(range(old + more - 1, old - 1, -1))
+        slot = np.array([self._free.pop() for _ in range(n)], dtype=np.intp)
+        self._grid[slot] = grid
+        return slot
 
     def _initial_step(self, y0, t0, t1, rate, max_step, direction):
         """First derivative and the Hairer–Nørsett–Wanner starting step."""
@@ -445,6 +493,9 @@ class Batch:
         self.rejected = ~ok
         if np.count_nonzero(rec):
             self._keep(rec, t_new, y_new, K)
+        sampled = (self.slot >= 0) & ok
+        if np.count_nonzero(sampled):
+            self._sample(np.flatnonzero(sampled), t, y, h, t_new, K)
 
         # An accepted step ends at t_bound exactly when it reaches it.
         escaped = ~(_norm2(y_new) < self.escape_norm)
@@ -513,6 +564,9 @@ class Batch:
             self.t, self.y, self.f = np.array([t_new]), np.array([y_new]), np.array([K[6]])
             if self.record.item():
                 self._keep(one, self.t, self.y, np.array(K)[:, None, :])
+            if self.slot.item() >= 0:
+                self._sample(np.zeros(1, dtype=np.intp), np.array([t]), np.array([y]),
+                             np.array([h]), self.t, np.array(K)[:, None, :])
         else:
             h_next = h_abs * (factor if factor > _MIN_FACTOR else _MIN_FACTOR)
         self.h_abs = np.array([h_next])
@@ -532,27 +586,37 @@ class Batch:
         return self._stop(one, status)
 
     def _keep(self, rec, t_new, y_new, K):
-        """Log the accepted steps of recording members."""
-        e = len(self._log)
-        if np.count_nonzero(rec) == len(rec):
-            self._log.append((t_new, y_new, K))
-            ids = self.ids
-        else:
-            j = np.flatnonzero(rec)
-            self._log.append((t_new[j], y_new[j], K[:, j]))
-            ids = self.ids[j]
-        if len(ids) == 1:
-            self._rows[int(ids[0])].append((e, 0))
-        else:
-            for row, i in enumerate(ids.tolist()):
-                self._rows[i].append((e, row))
+        """Keep the accepted steps of recording members."""
+        for j in np.flatnonzero(rec):
+            self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
+
+    def _sample(self, j, t, y, h, t_new, K) -> None:
+        """Write the accepted steps of members j (t, y, h and K over all
+        active members) onto their sample grids."""
+        slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
+        end = np.where(t_new == self.t_bound[j], self._grid.shape[1],
+                       np.count_nonzero(self._grid[slot] < t_new[:, None], axis=1))
+        n = end - pos
+        if not np.count_nonzero(n):
+            return
+        # row m[i] of j takes grid point p[i]: its points pos..end-1 in turn
+        m = np.repeat(np.arange(len(j)), n)
+        p = np.arange(len(m)) - np.repeat(np.cumsum(n) - n, n) + pos[m]
+        q = _coeffs(K[:, j])
+        jm, sm = j[m], slot[m]
+        self._curve[sm, p] = _dense(q[m], t[jm], h[jm], y[jm], self._grid[sm, p])
+        self.pos[j] = end
 
     def _stop(self, mask: np.ndarray, status) -> list[int]:
         status = np.broadcast_to(np.asarray(status), mask.shape)
         stopped = []
         for j in np.flatnonzero(mask):
-            i = int(self.ids[j])
+            i, s = int(self.ids[j]), int(self.slot[j])
             self.final[i] = (str(status[j]), float(self.t[j]), self.y[j].copy())
+            if s >= 0:
+                if status[j] == COMPLETED:
+                    self.samples[i] = self._curve[s].copy()
+                self._free.append(s)
             stopped.append(i)
         self._compact(~mask)
         return stopped
@@ -565,26 +629,21 @@ class Batch:
         """Remove members from the active set and forget what they kept."""
         ids = list(ids)
         for i in ids:
-            self._origin.pop(i, None)
-            self._rows.pop(i, None)
+            self._steps.pop(i, None)
+            self.samples.pop(i, None)
         if ids:
-            self._compact(~np.isin(self.ids, ids))
+            gone = np.isin(self.ids, ids)
+            self._free.extend(self.slot[gone & (self.slot >= 0)].tolist())
+            self._compact(~gone)
 
     def trajectory(self, i: int) -> Trajectory:
         """The recorded path of stopped member i, with dense output."""
         status, t_end, _ = self.final[i]
-        t0, x0 = self._origin.pop(i)
-        rows = self._rows.pop(i)
-        log = self._log
-        times = np.array([t0] + [log[e][0][r] for e, r in rows])
-        states = np.vstack([x0[None, :]] + [log[e][1][r][None, :] for e, r in rows])
-        if rows:
-            K = np.stack([log[e][2][:, r] for e, r in rows], axis=1)
-            coeffs = np.stack([_wsum(K, w) for w in _P_W], axis=-1)
-        else:
-            coeffs = np.empty((0, self.dim, 4))
+        times, states, K = zip(*self._steps.pop(i))
+        coeffs = (_coeffs(np.stack(K[1:], axis=1)) if len(K) > 1
+                  else np.empty((0, self.dim, 4)))
         return Trajectory(
-            times, states, status,
+            np.array(times), np.array(states), status,
             underflow_time=t_end if status == STEP_UNDERFLOW else None,
             coeffs=coeffs,
         )
@@ -653,22 +712,23 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
 
 
 def integrate_members(rhs, dim: int, x0: np.ndarray, t0: float, t1: float,
-                      cfg: IntegratorConfig, rate: float = 0.0) -> list[Trajectory]:
+                      cfg: IntegratorConfig, rate: float = 0.0, record: bool = False,
+                      grid=None) -> Batch:
     """Integrate the members x0[i] of one field from t0 to t1 as one batch.
 
-    ``rhs`` takes both forms ``Batch`` calls, with ``rate`` as R.  Each
-    trajectory keeps its dense output; an escaped one ends where it crossed
-    ``cfg.escape_norm``, with no blow-up bracket.
+    ``rhs`` takes both forms ``Batch`` calls, with ``rate`` as R.  Returns
+    the stopped batch: member i's ``final``, its ``samples`` on ``grid``
+    when it completed, or with ``record`` its ``trajectory``, whose dense
+    output ends, on an escape, where it crossed ``cfg.escape_norm``.
     """
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
-    n = len(x0)
     batch = Batch(rhs, dim, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm, cfg.min_step)
-    batch.start(np.arange(n), x0, t0, t1, rate, cfg.max_step, record=True)
+    batch.start(np.arange(len(x0)), x0, t0, t1, rate, cfg.max_step, record, grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while batch.n_active:
             batch.advance()
-    return [batch.trajectory(i) for i in range(n)]
+    return batch
 
 
 def integrate(
@@ -706,7 +766,8 @@ def integrate(
         )
 
     rhs = _member_rhs(field)
-    (traj,) = integrate_members(rhs, field.dimension, x0[None, :], t0, t1, cfg)
+    traj = integrate_members(rhs, field.dimension, x0[None, :], t0, t1, cfg,
+                             record=True).trajectory(0)
     if traj.status == ESCAPED:
         traj.escape_bracket, traj.bracket_verified = _escape_bracket(
             rhs, traj, cfg, direction

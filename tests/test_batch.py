@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tiplab.analysis import (
+    _sense_rhs,
     estimate_pullback,
     forward_attraction_test,
     integrator_config,
@@ -136,6 +137,61 @@ def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
         assert np.array_equal(alone.states, batched.states)
         assert np.array_equal(alone.coeffs, batched.coeffs)
     assert {traj.status for traj in together[:-1]} <= {"completed", "escaped"}
+
+
+@pytest.mark.parametrize("sense", ["attracting", "repelling"])
+@pytest.mark.parametrize("max_step", [0.1, 0.35])
+@pytest.mark.parametrize("name,params,starts", [
+    ("moving-sn", {"mu": 0.5, "r": 0.03},
+     {"attracting": [[0.9], [0.6], [0.75]], "repelling": [[0.1], [-0.2], [0.3]]}),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2},
+     {"attracting": [[1.0, 0.9], [0.8, -0.9], [1.0, 1.1]],
+      "repelling": [[0.1, 0.0], [0.05, 0.05], [0.2, -0.1]]}),
+])
+def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense):
+    # a member sampled while it steps reads, bitwise, what its recorded
+    # trajectory's dense output gives on the same grid: batched, with mixed
+    # end times, and alone, stepping in Python floats.  A step cap of 0.35
+    # spans about 17 points of a 201-point grid over (0, 4), so one step
+    # writes several points.
+    model = make_model(name, **params)
+    cfg = integrator_config(model, {"max_step": max_step})
+    x0s = starts[sense]
+    ends = [4.0, 2.5, 4.0]
+    grids = np.array([np.linspace(0.0, t1, 201) for t1 in ends])
+
+    def run(x0s, ends, grids):
+        batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
+                      cfg.escape_norm, cfg.min_step)
+        ids = np.arange(len(x0s))
+        batch.start(ids, np.array(x0s, dtype=float), 0.0, ends, model.rate, cfg.max_step,
+                    record=True, grid=grids)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while batch.n_active:
+                batch.advance()
+        assert all(batch.final[i][0] == "completed" for i in ids)
+        return [(batch.samples[i], batch.trajectory(i)) for i in ids]
+
+    together = run(x0s, ends, grids)
+    for i, (samples, traj) in enumerate(together):
+        assert np.array_equal(samples, traj.eval(grids[i]))
+        assert len(traj.times) - 1 < 200  # steps span several grid points
+        ((alone, alone_traj),) = run(x0s[i:i + 1], ends[i:i + 1], grids[i:i + 1])
+        assert np.array_equal(alone, alone_traj.eval(grids[i]))
+        assert np.array_equal(alone, samples)
+
+
+@pytest.mark.parametrize("name,params,sense", [
+    ("moving-sn", {"mu": 0.5, "r": 0.03}, "attracting"),
+    ("moving-sn", {"mu": 0.5, "r": 0.03}, "repelling"),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 1}, "attracting"),
+])
+def test_estimate_eval_reproduces_states(name, params, sense):
+    # eval integrates the last doubling's window leg again, alone; on the
+    # estimate's own times it must give back the batch-sampled states
+    est = estimate_pullback(make_model(name, **params), sense=sense)
+    assert est.status == "converged"
+    assert np.array_equal(est.eval(est.times), est.states)
 
 
 @pytest.mark.parametrize("name", ["drift", "moving-sn", "moving-cubic",

@@ -124,16 +124,19 @@ class TestTip:
 
 
 class TestSweep:
-    def test_env_thread_count(self, capsys, monkeypatch):
-        monkeypatch.setenv("TIPLAB_THREADS", "2")
-        code, out, _ = run(
-            capsys, "sweep", "--model", "drift", "--rates", "0.1,0.5",
-            "--window", "0,2", "--format", "csv",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
+    def test_thread_count_leaves_output_unchanged(self, capsys):
+        outs = []
+        for threads in ("1", "2"):
+            code, out, _ = run(
+                capsys, "sweep", "--model", "drift", "--rates", "0.1,0.5",
+                "--window", "0,2", "--format", "csv", "--threads", threads,
+            )
+            assert code == 0
+            outs.append(out)
+        lines = outs[0].strip().splitlines()
         assert lines[0] == "r,n_attractors,escaped,tipped"
         assert len(lines) == 3
+        assert outs[1] == outs[0]
 
 
 class TestFigure:
