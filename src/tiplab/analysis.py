@@ -158,6 +158,8 @@ class PullbackJob:
             raise ValueError("window must have positive width")
         if not tol > 0:
             raise ValueError("tol must be positive")
+        if not max_lookback >= 1:  # the first doubling looks back 2**0
+            raise ValueError(f"max_lookback must be at least 1, got {max_lookback}")
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
         self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
         self.outcomes: dict[int, np.ndarray | None] = {}

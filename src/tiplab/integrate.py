@@ -4,9 +4,7 @@ One in-house Dormand–Prince 5(4) stepper advances N independent members at
 once.  Each member has its own time, step size, step cap, end time and
 status, and every stage sum is added in stage order (no BLAS products), so
 a member's result does not depend on how many other members share its
-batch or which they are.  A lone member steps in Python floats through the
-same operations in the same order, since at one member numpy's per-call
-overhead would set the cost of a step.  The tableau, the step-size
+batch or which they are, a batch of one included.  The tableau, the step-size
 controller and the initial-step heuristic are those of Dormand & Prince,
 *J. Comput. Appl. Math.* 6 (1980), and Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.4–II.6; the quartic dense output is Shampine's, *Math. Comp.* 46
@@ -98,34 +96,6 @@ def _wsum(K: np.ndarray, weights) -> np.ndarray:
     return np.add.accumulate(K[idx] * w, axis=0)[-1]
 
 
-# The stage nodes and nonzero weights as Python floats, for a lone member.
-_C_F = _C.tolist()
-
-
-def _float_weights(coeffs):
-    """(first stage, its weight, the other (stage, weight) pairs) of the
-    nonzero coefficients."""
-    (j, w), *rest = [(j, float(c)) for j, c in enumerate(coeffs) if c]
-    return j, w, tuple(rest)
-
-
-_A_F = [None] + [_float_weights(a) for a in _A[1:]]
-_B_F = _float_weights(_B)
-_E_F = _float_weights(_E)
-
-
-def _fsum(K: list, weights) -> list:
-    """``_wsum`` for one member whose stages K[s] are lists of floats."""
-    j0, w0, rest = weights
-    out = []
-    for c, v in enumerate(K[j0]):
-        acc = v * w0
-        for j, w in rest:
-            acc = acc + K[j][c] * w
-        out.append(acc)
-    return out
-
-
 def _coeffs(K: np.ndarray) -> np.ndarray:
     """Dense-output coefficients q[n, d, 4] of the steps with stages
     K[7, n, d]: column c is ``_wsum`` over column c of ``_P``, in stage order."""
@@ -143,26 +113,6 @@ def _dense(q, t_old, h, y_old, t):
     x3 = x2 * x
     s = q[:, :, 0] * x + q[:, :, 1] * x2 + q[:, :, 2] * x3 + q[:, :, 3] * (x3 * x)
     return s * h[:, None] + y_old
-
-
-def _fnorm(q: list) -> float:
-    """``_norm2`` of one member's list of floats, in the same order."""
-    if len(q) == 1:
-        return abs(q[0])
-    acc = q[0] * q[0]
-    for v in q[1:]:
-        acc = acc + v * v
-    return math.sqrt(acc)
-
-
-def _fmax(a: float, b: float) -> float:
-    """np.maximum of two floats: NaN if either is NaN."""
-    return a if (a >= b or a != a) else b
-
-
-def _fmin(a: float, b: float) -> float:
-    """np.minimum of two floats: NaN if either is NaN."""
-    return a if (a <= b or a != a) else b
 
 
 def _rms(q: np.ndarray) -> np.ndarray:
@@ -203,14 +153,9 @@ class VectorFieldHandle:
 
 
 def _member_rhs(fld: VectorFieldHandle):
-    """The stepper's rhs for a handle, which only ever steps one member:
-    x[d] at time t while it steps, X[1, d] at T[1] when it starts; R is
-    unused."""
-    def rhs(X, T, R):
-        if X.ndim == 1:
-            return fld(X, T)
-        return fld(X[0], T[0])[None, :]
-    return rhs
+    """The stepper's rhs for a handle, which only ever steps one member,
+    X[1, d] at T[1]; R is unused."""
+    return lambda X, T, R: fld(X[0], T[0])[None, :]
 
 
 @dataclass(frozen=True)
@@ -302,11 +247,10 @@ class Batch:
     """Members of one ODE stepped together by the Dormand–Prince 5(4) pair.
 
     ``rhs(X, T, R)`` evaluates the field at states X[n, d], times T[n] and
-    rates R[n], and, for a lone member, at one state x[d], time t and rate
-    r with the same arithmetic.  ``start`` adds members (or restarts stopped
-    ones on a new leg) with a fresh initial step; ``advance`` makes one step
-    attempt for every active member and returns the ids of those that
-    stopped, whose ``(status, t, y)`` then sit in ``final``.  A member stops
+    rates R[n].  ``start`` adds members (or restarts stopped ones on a new
+    leg) with a fresh initial step; ``advance`` makes one step attempt for
+    every active member and returns the ids of those that stopped, whose
+    ``(status, t, y)`` then sit in ``final``.  A member stops
     when it reaches its end time (``completed``), when its state norm
     reaches ``escape_norm`` or stops being finite (``escaped``), or when its
     step underflows: below ten units in the last place of t on a retry, or
@@ -438,8 +382,6 @@ class Batch:
         Escaping members overflow on the way out: callers run this under
         ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``.
         """
-        if len(self.t) == 1:
-            return self._advance_one()
         t, y, f, d = self.t, self.y, self.f, self.direction
         n = len(t)
         rej = self.rejected
@@ -513,77 +455,6 @@ class Batch:
             return []
         status = np.where(esc, ESCAPED, np.where(under, STEP_UNDERFLOW, COMPLETED))
         return self._stop(stopped, status)
-
-    def _advance_one(self) -> list[int]:
-        """``advance`` for one active member, in Python floats.
-
-        Every operation of the array path is made in the same order, and
-        ``power`` goes through numpy (whose array loop can round differently
-        from libm), so a member's result does not depend on which path ran.
-        """
-        one = np.ones(1, dtype=bool)
-        t, d, t_bound = self.t.item(), self.direction.item(), self.t_bound.item()
-        y, f = self.y[0].tolist(), self.f[0].tolist()
-        rej = self.rejected.item()
-        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
-        if rej:
-            # a retry keeps its shrunk step, and fails once that is too small
-            h_abs = self.h_abs.item()
-            if h_abs < min_step:
-                return self._stop(one, STEP_UNDERFLOW)
-        else:
-            h_abs = _fmin(_fmax(self.h_abs.item(), min_step), self.max_step.item())
-
-        t_new = t + h_abs * d
-        if d * (t_new - t_bound) > 0:
-            t_new = t_bound
-        h = t_new - t
-        h_abs = abs(h)
-        r = self.rate.item()
-
-        def rhs(x, tj):
-            return self.rhs(np.array(x), tj, r).tolist()
-
-        K = [f]
-        for j in range(1, 6):
-            K.append(rhs([a + b * h for a, b in zip(y, _fsum(K, _A_F[j]))], t + _C_F[j] * h))
-        y_new = [a + h * b for a, b in zip(y, _fsum(K, _B_F))]
-        K.append(rhs(y_new, t + h))
-        err = [b * h for b in _fsum(K, _E_F)]
-        q = [e / (self.atol + _fmax(abs(a), abs(b)) * self.rtol)
-             for e, a, b in zip(err, y, y_new)]
-        err_norm = _fnorm(q) / math.sqrt(self.dim)
-        factor = _SAFETY * float(np.power(np.array([err_norm]), _ERR_EXP)[0])
-        ok = err_norm < 1
-        if ok:
-            grow = _fmin(_MAX_FACTOR, factor)
-            if rej:
-                # no growth on the step that follows a rejection
-                grow = _fmin(1.0, grow)
-            h_next = h_abs * grow
-            self.t, self.y, self.f = np.array([t_new]), np.array([y_new]), np.array([K[6]])
-            if self.record.item():
-                self._keep(one, self.t, self.y, np.array(K)[:, None, :])
-            if self.slot.item() >= 0:
-                self._sample(np.zeros(1, dtype=np.intp), np.array([t]), np.array([y]),
-                             np.array([h]), self.t, np.array(K)[:, None, :])
-        else:
-            h_next = h_abs * (factor if factor > _MIN_FACTOR else _MIN_FACTOR)
-        self.h_abs = np.array([h_next])
-        self.rejected = np.array([not ok])
-        if not ok:
-            return []
-
-        # An accepted step ends at t_bound exactly when it reaches it.
-        if not _fnorm(y_new) < self.escape_norm:
-            status = ESCAPED
-        elif h_next < self.min_step and abs(t_bound - t_new) > self.min_step:
-            status = STEP_UNDERFLOW
-        elif t_new == t_bound:
-            status = COMPLETED
-        else:
-            return []
-        return self._stop(one, status)
 
     def _keep(self, rec, t_new, y_new, K):
         """Keep the accepted steps of recording members."""
@@ -716,7 +587,7 @@ def integrate_members(rhs, dim: int, x0: np.ndarray, t0: float, t1: float,
                       grid=None) -> Batch:
     """Integrate the members x0[i] of one field from t0 to t1 as one batch.
 
-    ``rhs`` takes both forms ``Batch`` calls, with ``rate`` as R.  Returns
+    ``rhs`` is a ``Batch`` rhs, called with ``rate`` as R.  Returns
     the stopped batch: member i's ``final``, its ``samples`` on ``grid``
     when it completed, or with ``record`` its ``trajectory``, whose dense
     output ends, on an escape, where it crossed ``cfg.escape_norm``.

@@ -152,7 +152,9 @@ class ModelSpec:
     critical_rates: tuple[float, ...] = ()
     default_anchors: tuple = ()
     repeller_anchors: tuple = ()
-    anchor_mode: str = "comoving"  # anchors are offsets from v(t), or "absolute"
+    # "comoving": anchors are offsets from v(t), or states for a model with
+    # no frame; "ramp": offsets from λ(rt); "absolute": states
+    anchor_mode: str = "comoving"
     odd_axes: tuple[int, ...] = ()
     escape_norm: float = 1e6
     state_box: Callable[[float], list[tuple[float, float]]] | None = None
@@ -160,6 +162,10 @@ class ModelSpec:
 
     def __post_init__(self):
         rhs, r = self.rhs, self.rate
+        if not math.isfinite(r):
+            raise ValueError(f"rate r must be finite, got {r}")
+        if self.anchor_mode not in ("comoving", "ramp", "absolute"):
+            raise ValueError(f"unknown anchor_mode {self.anchor_mode!r}")
         object.__setattr__(self, "field", VectorFieldHandle(
             self.dimension,
             lambda x, t, p: rhs(np.asarray(x, dtype=float), t, r),

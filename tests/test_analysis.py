@@ -15,6 +15,7 @@ from tiplab.analysis import (
     qse_continuation,
 )
 from tiplab.models import NoComovingFrame, TiplabError, make_model, oracle_curve
+from tiplab.tipping import find_critical_rate
 
 
 class TestEstimatePullback:
@@ -81,6 +82,15 @@ class TestEstimatePullback:
         m = make_model("drift")
         with pytest.raises(ValueError):
             estimate_pullback(m, window=(2.0, 2.0))
+
+    @pytest.mark.parametrize("max_lookback", [math.nan, -3.0, 0.5])
+    def test_bad_max_lookback_rejected(self, max_lookback):
+        m = make_model("moving-sn")
+        with pytest.raises(ValueError):
+            estimate_pullback(m, r=0.03, max_lookback=max_lookback)
+        with pytest.raises(ValueError):
+            find_critical_rate(m, r_range=(0.01, 0.1), resolution=1e-2,
+                               max_lookback=max_lookback)
 
 
 class TestForwardAttraction:

@@ -111,9 +111,9 @@ def test_forward_probes_match_lone_integration():
     ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2}, [[1.0, 0.5], [0.5, -0.2]], 8.0),
 ])
 def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
-    # a lone member steps in Python floats and a batched one in arrays; a
-    # companion with a later end time keeps the batched members on arrays.
-    # The step cap is raised so that error control sets every step.
+    # a member steps bitwise alike alone and in a batch; a companion with a
+    # later end time keeps the batch above one member to the end.  The step
+    # cap is raised so that error control sets every step.
     model = make_model(name, **params)
     cfg = integrator_config(model, {"max_step": 100.0})
 
@@ -151,9 +151,8 @@ def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
 def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense):
     # a member sampled while it steps reads, bitwise, what its recorded
     # trajectory's dense output gives on the same grid: batched, with mixed
-    # end times, and alone, stepping in Python floats.  A step cap of 0.35
-    # spans about 17 points of a 201-point grid over (0, 4), so one step
-    # writes several points.
+    # end times, and alone.  A step cap of 0.35 spans about 17 points of a
+    # 201-point grid over (0, 4), so one step writes several points.
     model = make_model(name, **params)
     cfg = integrator_config(model, {"max_step": max_step})
     x0s = starts[sense]
@@ -197,7 +196,7 @@ def test_estimate_eval_reproduces_states(name, params, sense):
 @pytest.mark.parametrize("name", ["drift", "moving-sn", "moving-cubic",
                                   "moving-pitchfork", "bounded-ramp-sn"])
 def test_catalog_rhs_one_state_equals_stacked(name):
-    # the lone-member path calls rhs(x[d], t, r); batches call rhs(X, T, R)
+    # a model's ``field`` calls rhs(x[d], t, r); batches call rhs(X, T, R)
     model = make_model(name)
     rng = np.random.default_rng(3)
     X = rng.normal(size=(16, model.dimension))

@@ -228,13 +228,15 @@ class TestInvalidInput:
         (["qse", "--model", "drift"], {"s-grid": [0.0, 4.0, 0.0]}),
         (["sweep", "--model", "drift", "--rates", "0.5", "--threads", "0"], None),
         (["sweep", "--model", "drift", "--rates", "0.5", "--threads", "-3"], None),
+        (["qse", "--model", "drift", "--set", "r=nan"], None),
+        (["simulate", "--model", "moving-sn", "--set", "r=inf"], None),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
             "integrator-type", "config-window-length", "config-x0-length", "config-t0",
             "t1-infinite", "s-grid-count-infinite", "rates-nan", "resolution", "tol",
             "s-grid-count-zero", "s-grid-count-negative", "s-grid-count-fraction",
             "r-range-count-fraction", "r-range-count-zero", "config-s-grid-count-zero",
-            "threads-zero", "threads-negative"])
+            "threads-zero", "threads-negative", "rate-nan", "rate-infinite"])
     def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
         if analysis is not None:
             cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,11 @@ class TestCatalog:
     def test_unknown_param_rejected(self):
         with pytest.raises(TiplabError):
             make_model("drift", sigma=10.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, r):
+        with pytest.raises(ValueError):
+            make_model("moving-sn", r=r)
 
     def test_with_rate_rebuilds(self):
         m = make_model("moving-sn", mu=0.5, r=0.01)
@@ -198,6 +204,10 @@ class TestAnchors:
         m = make_model("bounded-ramp-sn", mu=0.5, r=0.1)
         s = 2.0
         assert abs(m.anchor_state([0.5], s)[0] - (m.ramp.value(s) + 0.5)) < 1e-14
+
+    def test_unknown_anchor_mode_rejected(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_model("drift"), anchor_mode="co-moving")
 
     def test_anchor_shape_checked(self):
         m = make_model("moving-pitchfork")

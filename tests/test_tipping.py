@@ -114,3 +114,8 @@ class TestSweep:
         seq = json.dumps(sweep(m, rates, threads=1, window=(0.0, 2.0)))
         par = json.dumps(sweep(m, rates, threads=4, window=(0.0, 2.0)))
         assert seq == par
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, r):
+        with pytest.raises(ValueError):
+            sweep(make_model("moving-sn"), [r])
