@@ -40,8 +40,10 @@ diag = tl.rate_diagnostics(model, r=1.5, include_forward=False)
 print(f"r = 1.5: distinct attractors = {diag.n_attractors}, "
       f"tipped = {diag.tipped}, escapes = {len(diag.escaped)}")
 
-# The attractor-count predicate brackets r* = mu and names the bifurcation
-# (the odd symmetry in y is what distinguishes it from a saddle-node).
+# The attractor-count predicate brackets r* = mu.  The bifurcation is named
+# from the closed-form co-moving equilibria on either side: below r* the
+# pair (r, +/-sqrt(mu - r)) mirrors in y about the saddle (r, 0), so the
+# bracket is a pitchfork, not a saddle-node.
 for p in (1, 2):
     m = tl.make_model("moving-pitchfork", mu=mu, p=p)
     report = tl.find_critical_rate(m, r_range=(0.3, 3.0), resolution=1e-2)

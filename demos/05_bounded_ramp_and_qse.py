@@ -48,7 +48,7 @@ print(f"critical rate in [{b.lower:.5f}, {b.upper:.5f}] "
       f"(classification: {b.classification})")
 
 # A rate sweep summarizes the transition.  All its rates run as one batch;
-# the threads argument (or TIPLAB_THREADS) changes no output bit.
+# the threads argument changes no output bit.
 rows = tl.sweep(model, np.linspace(0.05, 0.4, 8), threads=4,
                 window=(-5.0, 5.0))
 for row in rows:

@@ -158,6 +158,8 @@ class PullbackJob:
             raise ValueError("window must have positive width")
         if not tol > 0:
             raise ValueError("tol must be positive")
+        if not np.all(np.isfinite(anchor)):
+            raise ValueError(f"anchor must be finite, got {anchor}")
         if not max_lookback >= 1:  # the first doubling looks back 2**0
             raise ValueError(f"max_lookback must be at least 1, got {max_lookback}")
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
@@ -230,7 +232,8 @@ class PullbackJob:
         if status == CONVERGED:
             evaluator = _window_leg(self.model, self.sense, self.wa, self.wb,
                                     self._window_starts[prev], cfg)
-        note = f"{self.model.anchor_mode} anchor {self.anchor.tolist()} ({self.sense} sense)"
+        frame = "comoving" if self.model.comoving is not None else "ramp"
+        note = f"{frame} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
             window=tuple(self.window),
             times=np.asarray(times),

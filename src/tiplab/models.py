@@ -152,10 +152,6 @@ class ModelSpec:
     critical_rates: tuple[float, ...] = ()
     default_anchors: tuple = ()
     repeller_anchors: tuple = ()
-    # "comoving": anchors are offsets from v(t), or states for a model with
-    # no frame; "ramp": offsets from λ(rt); "absolute": states
-    anchor_mode: str = "comoving"
-    odd_axes: tuple[int, ...] = ()
     escape_norm: float = 1e6
     state_box: Callable[[float], list[tuple[float, float]]] | None = None
     field: VectorFieldHandle = dataclasses.field(init=False, repr=False, compare=False)
@@ -164,8 +160,6 @@ class ModelSpec:
         rhs, r = self.rhs, self.rate
         if not math.isfinite(r):
             raise ValueError(f"rate r must be finite, got {r}")
-        if self.anchor_mode not in ("comoving", "ramp", "absolute"):
-            raise ValueError(f"unknown anchor_mode {self.anchor_mode!r}")
         object.__setattr__(self, "field", VectorFieldHandle(
             self.dimension,
             lambda x, t, p: rhs(np.asarray(x, dtype=float), t, r),
@@ -184,15 +178,15 @@ class ModelSpec:
         return make_model(self.name, **kw)
 
     def anchor_state(self, anchor, s: float) -> np.ndarray:
-        """Resolve an anchor to a full initial state at start time s."""
+        """Resolve an anchor to a full initial state at start time s: an
+        offset from the co-moving translation v(s), or from the ramp λ(rs)
+        for a model with no co-moving frame."""
         a = np.atleast_1d(np.asarray(anchor, dtype=float))
         if a.shape != (self.dimension,):
             raise ValueError(f"anchor has shape {a.shape}, expected ({self.dimension},)")
-        if self.anchor_mode == "comoving" and self.comoving is not None:
+        if self.comoving is not None:
             return self.comoving.translation(s) + a
-        if self.anchor_mode == "ramp":
-            return a + self.ramp.value(s)
-        return a
+        return a + self.ramp.value(s)
 
     def attractor_repeller_gap(self) -> float | None:
         """Smallest pairwise distance between co-moving equilibria."""
@@ -245,7 +239,6 @@ def make_drift(r: float = 0.5) -> ModelSpec:
         },
         default_anchors=(np.array([1.0]),),
         repeller_anchors=(),
-        anchor_mode="comoving",
         escape_norm=1e9,
         state_box=lambda s: [(math.exp(r * s) - 2.0, math.exp(r * s) + 2.0)],
     )
@@ -253,8 +246,8 @@ def make_drift(r: float = 0.5) -> ModelSpec:
 
 def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
     """dx/dt = -(x-rt)(x-rt-mu): moving saddle-node, tips at r = mu^2/4."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     ramp = RampDescriptor("linear", r)
     rstar = mu * mu / 4.0
 
@@ -301,7 +294,6 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
         critical_rates=(rstar,),
         default_anchors=(np.array([mu]),),
         repeller_anchors=(np.array([0.0]),),
-        anchor_mode="comoving",
         state_box=lambda s: [(r * s - 2.0 * mu - 1.0, r * s + 2.0 * mu + 1.0)],
     )
 
@@ -325,8 +317,8 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
     attractor and the repeller annihilate at r = +2mu^3/(3*sqrt(3)), the
     bottom pair at the mirrored negative rate.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     ramp = RampDescriptor("linear", r)
     rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
 
@@ -385,7 +377,6 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
         critical_rates=(rstar, -rstar),
         default_anchors=(np.array([1.5 * mu]), np.array([-1.5 * mu])),
         repeller_anchors=(np.array([0.0]),),
-        anchor_mode="comoving",
         state_box=lambda s: [(r * s - 2.0 * mu - 1.0, r * s + 2.0 * mu + 1.0)],
     )
 
@@ -393,8 +384,10 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
 def make_moving_pitchfork(mu: float = 1.0, r: float = 0.5, p: int = 1) -> ModelSpec:
     """Planar system whose co-moving frame (z, y) = (x + λ(rt), y) obeys
     dz/dt = -z + r, dy/dt = -y(z - mu + y^2); pitchfork at r = mu."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+    if not float(p).is_integer():
+        raise ValueError(f"ramp degree p must be a whole number, got {p}")
     p = int(p)
     ramp = RampDescriptor("polynomial", r, degree=p)
 
@@ -478,8 +471,6 @@ def make_moving_pitchfork(mu: float = 1.0, r: float = 0.5, p: int = 1) -> ModelS
         critical_rates=(mu,),
         default_anchors=(np.array([1.0, 1.0]), np.array([1.0, -1.0])),
         repeller_anchors=(),
-        anchor_mode="comoving",
-        odd_axes=(1,),
         escape_norm=1e12,
         state_box=state_box,
     )
@@ -491,10 +482,12 @@ def make_bounded_ramp_sn(mu: float = 0.5, r: float = 0.05, lambda_max: float | N
     Asymptotically constant parameter change; tips at a finite rate with no
     closed-form critical value.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if lambda_max is None:
         lambda_max = 3.0 * mu
+    if not math.isfinite(lambda_max):
+        raise ValueError(f"lambda_max must be finite, got {lambda_max}")
     ramp = RampDescriptor("bounded_tanh", r, scale=lambda_max)
 
     def rhs(X, T, R):
@@ -514,7 +507,6 @@ def make_bounded_ramp_sn(mu: float = 0.5, r: float = 0.05, lambda_max: float | N
         },
         default_anchors=(np.array([mu]),),
         repeller_anchors=(),
-        anchor_mode="ramp",
         state_box=lambda s: [(ramp.value(s) - mu - 1.0, ramp.value(s) + 2.0 * mu + 1.0)],
     )
 

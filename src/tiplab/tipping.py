@@ -45,6 +45,11 @@ __all__ = [
 # times max(1, the larger curve's sup norm), scaled as a pullback's own tol is.
 CURVE_DEDUPE_GAP = 1e-4
 
+# The forward-attraction test of each distinct curve runs to at most this
+# horizon past the window start, with this attraction threshold.
+FORWARD_HORIZON = 20.0
+FORWARD_EPS = 0.01
+
 # Log-spaced probes per decade of |r| in the scan of ``find_critical_rate``.
 _SCAN_PER_DECADE = 40
 
@@ -172,8 +177,6 @@ def rate_diagnostics(
     max_lookback: float = MAX_LOOKBACK,
     cfg: IntegratorConfig | None = None,
     include_forward: bool = True,
-    forward_horizon: float = 20.0,
-    forward_eps: float = 0.01,
 ) -> RateDiagnostics:
     """Full per-rate picture: pullback curves, dedupe, forward attraction.
 
@@ -200,8 +203,8 @@ def rate_diagnostics(
                     model,
                     candidate=est,
                     offsets=offs,
-                    horizon=min(forward_horizon, window[1] - window[0]),
-                    eps=forward_eps,
+                    horizon=min(FORWARD_HORIZON, window[1] - window[0]),
+                    eps=FORWARD_EPS,
                     cfg=cfg,
                 )
             )
@@ -256,41 +259,30 @@ class TippingReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _odd_symmetry_ok(model: ModelSpec, axis: int, samples: int = 64) -> bool:
-    """Numerically verify the co-moving field is odd in the given axis."""
-    cm = model.comoving
-    if cm is None:
-        return False
-    rng = np.random.default_rng(12345)
-    for _ in range(samples):
-        y = np.array([rng.uniform(lo, hi) for lo, hi in cm.box])
-        yf = y.copy()
-        yf[axis] = -yf[axis]
-        g, gf = cm.field(y), cm.field(yf)
-        gf_expect = g.copy()
-        gf_expect[axis] = -gf_expect[axis]
-        if float(np.max(np.abs(gf - gf_expect))) > 1e-10:
-            return False
-    return True
-
-
 def _classify(model: ModelSpec, lo: float, hi: float) -> str:
-    """Name the bifurcation from frozen co-moving equilibria counts."""
+    """Name the bifurcation from the closed-form co-moving equilibria on
+    either side of the bracket.  Two fewer is a saddle-node, or a pitchfork
+    when the richer side holds three: a pair that mirrors into itself when
+    one coordinate is negated, and one point on that mirror (to 1e-9)."""
     try:
         m_lo, m_hi = model.with_rate(lo), model.with_rate(hi)
     except TiplabError:
         return "unclassified"
     if m_lo.comoving is None or m_lo.comoving.equilibria is None:
         return "unclassified"
-    n_lo = len(m_lo.comoving.equilibria())
-    n_hi = len(m_hi.comoving.equilibria())
-    before, after = max(n_lo, n_hi), min(n_lo, n_hi)
-    if before - after == 2:
-        if before == 3 and all(_odd_symmetry_ok(m_lo, ax) for ax in model.odd_axes) \
-                and model.odd_axes:
-            return "pitchfork"
-        return "saddle-node"
-    return "unclassified"
+    sides = [[y for y, _ in m.comoving.equilibria()] for m in (m_lo, m_hi)]
+    poor, rich = sorted(sides, key=len)
+    if len(rich) - len(poor) != 2:
+        return "unclassified"
+    if len(rich) == 3:
+        for j in range(model.dimension):
+            flip = np.ones(model.dimension)
+            flip[j] = -1.0
+            for k in range(3):  # rich[k] on the mirror, the other two a mirror pair
+                pair_gap = np.max(np.abs(rich[k - 1] - flip * rich[k - 2]))
+                if abs(rich[k][j]) <= 1e-9 and pair_gap <= 1e-9:
+                    return "pitchfork"
+    return "saddle-node"
 
 
 def _scan_rates(r_range: tuple[float, float], resolution: float) -> np.ndarray:
@@ -491,8 +483,6 @@ def locality_probe(
     anchors: Sequence | None = None,
     tol: float = 1e-8,
     cfg: IntegratorConfig | None = None,
-    forward_horizon: float = 20.0,
-    forward_eps: float = 0.01,
 ) -> dict:
     """Check whether tipping at rate r is local: does some pullback
     attractor survive (and keep forward-attracting) while another is lost?
@@ -502,10 +492,7 @@ def locality_probe(
     also passes the forward-attraction test.  The curves are those
     ``rate_diagnostics`` reads its verdict from, relaxed retry included.
     """
-    diag = rate_diagnostics(
-        model, r=r, window=window, anchors=anchors, tol=tol, cfg=cfg,
-        include_forward=True, forward_horizon=forward_horizon, forward_eps=forward_eps,
-    )
+    diag = rate_diagnostics(model, r=r, window=window, anchors=anchors, tol=tol, cfg=cfg)
     n_anchors = len(diag.estimates)
     survivors = [
         g[0] for g, fwd in zip(diag.groups, diag.forward) if fwd.verdict == "holds"

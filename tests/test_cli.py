@@ -230,13 +230,18 @@ class TestInvalidInput:
         (["sweep", "--model", "drift", "--rates", "0.5", "--threads", "-3"], None),
         (["qse", "--model", "drift", "--set", "r=nan"], None),
         (["simulate", "--model", "moving-sn", "--set", "r=inf"], None),
+        (["qse", "--model", "moving-sn", "--set", "mu=inf"], None),
+        (["simulate", "--model", "moving-sn", "--set", "mu=nan"], None),
+        (["simulate", "--model", "bounded-ramp-sn", "--set", "lambda_max=nan"], None),
+        (["simulate", "--model", "moving-pitchfork", "--set", "p=2.5"], None),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
             "integrator-type", "config-window-length", "config-x0-length", "config-t0",
             "t1-infinite", "s-grid-count-infinite", "rates-nan", "resolution", "tol",
             "s-grid-count-zero", "s-grid-count-negative", "s-grid-count-fraction",
             "r-range-count-fraction", "r-range-count-zero", "config-s-grid-count-zero",
-            "threads-zero", "threads-negative", "rate-nan", "rate-infinite"])
+            "threads-zero", "threads-negative", "rate-nan", "rate-infinite",
+            "mu-infinite", "mu-nan", "lambda-max-nan", "degree-fraction"])
     def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
         if analysis is not None:
             cfg = tmp_path / "cfg.json"

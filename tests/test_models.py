@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +70,26 @@ class TestCatalog:
     def test_non_finite_rate_rejected(self, r):
         with pytest.raises(ValueError):
             make_model("moving-sn", r=r)
+
+    @pytest.mark.parametrize("name", ["moving-sn", "moving-cubic", "moving-pitchfork",
+                                      "bounded-ramp-sn"])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    def test_mu_must_be_positive_and_finite(self, name, mu):
+        with pytest.raises(ValueError, match="mu"):
+            make_model(name, mu=mu)
+
+    @pytest.mark.parametrize("lambda_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_max_rejected(self, lambda_max):
+        with pytest.raises(ValueError, match="lambda_max"):
+            make_model("bounded-ramp-sn", lambda_max=lambda_max)
+
+    @pytest.mark.parametrize("p", [2.5, math.nan, math.inf])
+    def test_ramp_degree_must_be_whole(self, p):
+        with pytest.raises(ValueError, match="whole number"):
+            make_model("moving-pitchfork", p=p)
+
+    def test_whole_float_ramp_degree_accepted(self):
+        assert make_model("moving-pitchfork", p=2.0).params["p"] == 2
 
     def test_with_rate_rebuilds(self):
         m = make_model("moving-sn", mu=0.5, r=0.01)
@@ -204,10 +223,6 @@ class TestAnchors:
         m = make_model("bounded-ramp-sn", mu=0.5, r=0.1)
         s = 2.0
         assert abs(m.anchor_state([0.5], s)[0] - (m.ramp.value(s) + 0.5)) < 1e-14
-
-    def test_unknown_anchor_mode_rejected(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(make_model("drift"), anchor_mode="co-moving")
 
     def test_anchor_shape_checked(self):
         m = make_model("moving-pitchfork")

@@ -12,7 +12,7 @@ import numpy as np  # noqa: E402
 from tiplab.analysis import qse_continuation  # noqa: E402
 from tiplab.integrate import ESCAPED, IntegratorConfig, integrate  # noqa: E402
 from tiplab.models import make_model, oracle_curve  # noqa: E402
-from tiplab.tipping import find_critical_rate  # noqa: E402
+from tiplab.tipping import _classify, find_critical_rate  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,3 +150,31 @@ def test_moving_cubic_critical_rates(mu):
     report = find_critical_rate(make_model("moving-cubic", mu=mu),
                                 r_range=(-3.0 * rstar, 3.0 * rstar), resolution=0.01 * rstar)
     _assert_own_brackets(report, [-rstar, rstar], 0.01 * rstar)
+
+
+# ``_classify`` reads only the closed-form co-moving equilibria, so whole
+# parameter ranges are cheap to check.
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.1, 3.0), p=st.sampled_from([1, 2, 3]), frac=st.floats(1e-6, 0.5))
+def test_pitchfork_brackets_are_classified_pitchfork(mu, p, frac):
+    m = make_model("moving-pitchfork", mu=mu, p=p)
+    assert _classify(m, mu - frac * mu, mu + frac * mu) == "pitchfork"
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.1, 3.0), frac=st.floats(1e-6, 0.5))
+def test_fold_brackets_are_classified_saddle_node(mu, frac):
+    rstar = mu * mu / 4.0
+    m = make_model("moving-sn", mu=mu)
+    assert _classify(m, rstar * (1 - frac), rstar * (1 + frac)) == "saddle-node"
+    rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
+    m = make_model("moving-cubic", mu=mu)
+    assert _classify(m, rstar * (1 - frac), rstar * (1 + frac)) == "saddle-node"
+    assert _classify(m, -rstar * (1 + frac), -rstar * (1 - frac)) == "saddle-node"
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=st.floats(1e-3, 5.0), width=st.floats(1e-6, 5.0))
+def test_models_without_a_fold_are_unclassified(lo, width):
+    for m in (make_model("drift"), make_model("bounded-ramp-sn")):
+        assert _classify(m, lo, lo + width) == "unclassified"

@@ -1,9 +1,9 @@
 """Regression tests for an unverified blow-up bracket, for the probe count
-each critical-rate bracket reports, for non-finite times and ranges, for
-finite-horizon tests given a bad horizon, for curve dedupe on large curves,
-for the step count and convergence of deep pullbacks, for an import and a
-core free of scipy, for every exported name, and for the tipping predicate's
-known wrong answers."""
+each critical-rate bracket reports, for non-finite times, ranges and
+anchors, for finite-horizon tests given a bad horizon, for curve dedupe on
+large curves, for the step count and convergence of deep pullbacks, for an
+import and a core free of scipy, for every exported name, and for the
+tipping predicate's known wrong answers."""
 import ast
 import importlib
 import inspect
@@ -85,6 +85,16 @@ class TestNonFiniteInput:
         m = make_model("moving-sn", mu=0.5)
         with pytest.raises(ValueError, match="finite"):
             find_critical_rate(m, r_range=r_range)
+
+    # a non-finite anchor read as an escape, so as tipping
+    @pytest.mark.parametrize("call", [
+        lambda m: estimate_pullback(m, r=0.03, anchor=[NAN]),
+        lambda m: rate_diagnostics(m, r=0.03, anchors=[[NAN]]),
+        lambda m: find_critical_rate(m, r_range=(0.01, 0.1), anchors=[[INF]]),
+    ], ids=["estimate_pullback", "rate_diagnostics", "find_critical_rate"])
+    def test_non_finite_anchor_rejected(self, call):
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            call(make_model("moving-sn", mu=0.5))
 
 
 class TestHorizon:
