@@ -256,17 +256,19 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     batch.  A member runs its approach leg with no step cap (error control
     sets each step; the attracting dynamics contract that error away), then
     restarts on the window leg with a fresh initial step and ``cfg.max_step``,
-    sampled onto the job's grid while it steps.  Each job resolves in
+    sampled onto the batch's curve grid while it steps.  Each job resolves in
     doubling order and drops its remaining members once it converges or
-    escapes.  All jobs must share one model family, sense and ``cfg``.
+    escapes.  All jobs must share one model family, sense, window and ``cfg``.
     """
     jobs = [job for job in jobs if not job.resolve(cfg)]
     if not jobs:
         return
-    model, sense = jobs[0].model, jobs[0].sense
+    first = jobs[0]
+    model, sense, wa, wb = first.model, first.sense, first.wa, first.wb
     family = lambda m: (m.name, {k: v for k, v in m.params.items() if k != "r"})
-    if any(job.sense != sense or family(job.model) != family(model) for job in jobs):
-        raise ValueError("a pullback batch needs one model family and one sense")
+    if any(job.sense != sense or job.window != first.window or family(job.model) != family(model)
+           for job in jobs):
+        raise ValueError("a pullback batch needs one model family, sense and window")
     members = [(job, k) for job in jobs for k in job.pending()]
     ids_of = {}
     for i, (job, _) in enumerate(members):
@@ -274,12 +276,12 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     starts = [job.start_state(k) for job, k in members]
     rates = np.array([job.model.rate for job, _ in members])
     batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
-                  cfg.escape_norm, cfg.min_step)
+                  cfg.escape_norm, cfg.min_step, grid=first.grid)
     stopped = batch.start(
         np.arange(len(members)),
         np.array([x for _, x in starts]),
         [s for s, _ in starts],
-        [job.wa for job, _ in members],
+        wa,
         rates,
     )
     x_wa: dict[int, np.ndarray] = {}  # window-start states of the window legs
@@ -302,15 +304,13 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
             stopped = batch.start(
                 restart,
                 np.array([x_wa[i] for i in restart]),
-                [members[i][0].wa for i in restart],
-                [members[i][0].wb for i in restart],
+                wa,
+                wb,
                 rates[restart],
                 max_step=cfg.max_step,
-                grid=np.array([members[i][0].grid for i in restart]),
             )
         if not stopped and batch.n_active:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                stopped = batch.advance()
+            stopped = batch.advance()
     for job in jobs:
         if not job.resolve(cfg):
             raise RuntimeError("pullback batch ended with an unresolved job")

@@ -102,10 +102,10 @@ def _build_model(args, config: dict) -> ModelSpec:
 
 def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = None):
     """One analysis option: the flag, else ``config["analysis"][key]``, else
-    ``default``.  ``kind`` converts a single number.  With a count ``n`` (0
-    for any count) the option is a list of numbers: a comma string is parsed,
-    and a list or a bare number must hold ``n`` numbers.  Numbers must be
-    finite."""
+    ``default``.  ``kind`` converts a single number, which for ``int`` must
+    be whole.  With a count ``n`` (0 for any count) the option is a list of
+    numbers: a comma string is parsed, and a list or a bare number must hold
+    ``n`` numbers.  Numbers must be finite; booleans are not numbers."""
     raw = getattr(args, key.replace("-", "_"), None)
     if raw is None:
         raw = config.get("analysis", {}).get(key, default)
@@ -114,16 +114,20 @@ def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = 
     try:
         if n is None:
             vals = [kind(raw)]
+            if isinstance(raw, bool) or float(raw) != vals[0]:  # a boolean, or a fraction cut by int
+                raise ValueError(raw)
         elif isinstance(raw, str):
             vals = [float(v) for v in raw.split(",") if v.strip() != ""]
         else:
             vals = list(raw) if isinstance(raw, (list, tuple)) else [raw]
         if (n in (None, 0, len(vals))
-                and all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals)):
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in vals)):
             return vals[0] if n is None else vals
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    want = "a finite number" if n is None else f"{n or 'comma-separated'} finite numbers"
+    want = (f"{n or 'comma-separated'} finite numbers" if n is not None
+            else "a finite whole number" if kind is int else "a finite number")
     raise CliError(f"{key} expects {want}, got {raw!r}")
 
 
@@ -163,6 +167,8 @@ def _cmd_simulate(args, config) -> int:
     t0 = _opt(args, config, "t0", 0.0, float)
     t1 = _opt(args, config, "t1", 4.0, float)
     n = _opt(args, config, "samples", 201, int)
+    if n < 1:
+        raise CliError(f"samples expects a whole number >= 1, got {n}")
     x0 = _opt(args, config, "x0", n=model.dimension)
     if x0 is None:
         x0 = model.anchor_state(model.default_anchors[0], t0)

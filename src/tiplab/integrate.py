@@ -8,7 +8,8 @@ batch or which they are, a batch of one included.  The tableau, the step-size
 controller and the initial-step heuristic are those of Dormand & Prince,
 *J. Comput. Appl. Math.* 6 (1980), and Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.4–II.6; the quartic dense output is Shampine's, *Math. Comp.* 46
-(1986).
+(1986).  A batch records the steps of all its members or of none, samples
+those that cross its one time grid, and ignores their overflow on the way out.
 
 ``integrate`` is the one-member case.  It records every accepted step for a
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
@@ -181,11 +182,12 @@ class Trajectory:
 
     ``times`` are strictly increasing for forward integration and strictly
     decreasing for backward integration.  When ``status == ESCAPED`` the
-    ``escape_bracket`` is a time interval (in ascending order) whose lower
-    end is the instant the state norm crossed the escape threshold.
+    ``escape_bracket`` is a time interval (in ascending order) whose end
+    nearer ``t0`` (the lower end forward, the upper end backward) is the
+    instant the state norm crossed the escape threshold.
     ``bracket_verified`` is True when integration past that instant found
     the singularity (the bracket then contains it), and False when it did
-    not: the upper end is then only as far as integration reached.
+    not: the far end is then only as far as integration reached.
     ``coeffs[k]`` holds the dense-output polynomial of step k, as a [d, 4]
     array.
     """
@@ -240,7 +242,7 @@ class Trajectory:
 
 # The per-member arrays of a Batch, one entry per active member.
 _MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "t_bound",
-                  "direction", "max_step", "rate", "record", "slot", "pos")
+                  "direction", "max_step", "rate", "slot", "pos")
 
 
 class Batch:
@@ -254,17 +256,20 @@ class Batch:
     when it reaches its end time (``completed``), when its state norm
     reaches ``escape_norm`` or stops being finite (``escaped``), or when its
     step underflows: below ten units in the last place of t on a retry, or
-    below ``min_step`` away from the end time (``step_underflow``).  Members
-    started with ``record`` keep every accepted step for ``trajectory``.
-    A member started forward with an ascending ``grid`` gets, from each
-    accepted step, the dense output at the grid points in [t, t_new), and
-    from the step that reaches the end time at all points left: the step
-    and arithmetic ``Trajectory.eval`` would use.  It holds a pool row while
-    active and, if it completes, leaves its curve in ``samples``.
+    below ``min_step`` away from the end time (``step_underflow``).  With
+    ``record`` every member keeps every accepted step for ``trajectory``.
+    With an ascending ``grid``, a member that runs from ``grid[0]`` to
+    ``grid[-1]`` gets, from each accepted step, the dense output at the grid
+    points in [t, t_new), and from the step that reaches the end time at all
+    points left: the step and arithmetic ``Trajectory.eval`` would use.  It
+    holds a pool row while active and, if it completes, leaves its curve in
+    ``samples``.  Members overflow on their way out; ``start`` and
+    ``advance`` ignore it, so callers need no ``np.errstate``.
     """
 
     def __init__(self, rhs, dim: int, rtol: float, atol: float,
-                 escape_norm: float = math.inf, min_step: float = 0.0):
+                 escape_norm: float = math.inf, min_step: float = 0.0,
+                 grid=None, record: bool = False):
         self.rhs = rhs
         self.dim = dim
         self.rtol = rtol
@@ -281,27 +286,29 @@ class Batch:
         self.direction = np.empty(0)
         self.max_step = np.empty(0)
         self.rate = np.empty(0)
-        self.record = np.empty(0, dtype=bool)
         self.slot = np.empty(0, dtype=np.intp)
         self.pos = np.empty(0, dtype=np.intp)
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
-        # sample pool: grid times and samples by slot, and the free slots
-        self._grid, self._curve = np.empty((0, 0)), np.empty((0, 0, dim))
+        self.grid = None if grid is None else np.asarray(grid, dtype=float)
+        self.record = record
+        # sample pool: samples by slot, and the free slots
+        self._curve = np.empty((0, 0 if grid is None else len(self.grid), dim))
         self._free: list[int] = []
-        # each recording member's start and accepted steps: (t, y, K)
+        # each member's start and accepted steps, when recording: (t, y, K)
         self._steps: dict[int, list[tuple]] = {}
 
     @property
     def n_active(self) -> int:
         return len(self.ids)
 
-    def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf,
-              record=False, grid=None) -> list[int]:
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf) -> list[int]:
         """Start members ``ids`` at (t0, x0) toward t1 (all t1 != t0).
 
-        ``grid`` is one sample grid for all, or one row each.  Returns the
-        ids that stopped at once, their norm already at or above ``escape_norm``.
+        A member that ends on the last grid point must start on the first;
+        it is then sampled.  Returns the ids that stopped at once, their
+        norm already at or above ``escape_norm``.
         """
         ids = np.asarray(ids, dtype=np.intp).reshape(-1)
         n = len(ids)
@@ -311,14 +318,13 @@ class Batch:
             for v in (t0, t1, rate, max_step)
         )
         direction = np.where(t1 > t0, 1.0, -1.0)
-        if grid is not None:
-            if np.any(direction < 0):
-                raise ValueError("sampled members must run forward in time")
-            grid = np.broadcast_to(np.asarray(grid, dtype=float), (n, np.shape(grid)[-1]))
-        rec = np.broadcast_to(np.asarray(record, dtype=bool), (n,)).copy()
-        for j in np.flatnonzero(rec):
-            i = int(ids[j])
-            self._steps[i] = [(float(t0[j]), x0[j].copy(), None)]
+        grid = self.grid
+        sampled = np.zeros(n, dtype=bool) if grid is None else t1 == grid[-1]
+        if np.any(sampled) and np.any(t0[sampled] != grid[0]):
+            raise ValueError("a member that ends on the last grid point must start on the first")
+        if self.record:
+            for j in range(n):
+                self._steps[int(ids[j])] = [(float(t0[j]), x0[j].copy(), None)]
         out = ~(_norm2(x0) < self.escape_norm)
         stopped = []
         if out.any():
@@ -326,62 +332,52 @@ class Batch:
                 self.final[int(ids[j])] = (ESCAPED, float(t0[j]), x0[j].copy())
                 stopped.append(int(ids[j]))
             keep = ~out
-            ids, x0, t0, t1, rate, max_step, direction, rec = (
-                v[keep] for v in (ids, x0, t0, t1, rate, max_step, direction, rec)
+            ids, x0, t0, t1, rate, max_step, direction, sampled = (
+                v[keep] for v in (ids, x0, t0, t1, rate, max_step, direction, sampled)
             )
-            grid = None if grid is None else grid[keep]
         if not len(ids):
             return stopped
         f0, h_abs = self._initial_step(x0, t0, t1, rate, max_step, direction)
-        slot = np.full(len(ids), -1, dtype=np.intp) if grid is None else self._slots(grid)
+        slot = np.full(len(ids), -1, dtype=np.intp)
+        slot[sampled] = self._slots(np.count_nonzero(sampled))
         new = (ids, t0, x0, f0, h_abs, np.zeros(len(ids), dtype=bool), t1,
-               direction, max_step, rate, rec, slot, np.zeros(len(ids), dtype=np.intp))
+               direction, max_step, rate, slot, np.zeros(len(ids), dtype=np.intp))
         for name, values in zip(_MEMBER_ARRAYS, new):
             setattr(self, name, np.concatenate((getattr(self, name), values)))
         return stopped
 
-    def _slots(self, grid: np.ndarray) -> np.ndarray:
-        """Pool slots holding the sample grids grid[n, g], the pool grown as
-        needed; every grid of a batch has the same length g."""
-        (n, g), old = grid.shape, len(self._grid)
-        if old and self._grid.shape[1] != g:
-            raise ValueError("every sample grid of a batch must have one length")
-        if n > len(self._free):  # grown just enough: rows stay as few as active members
-            more = n - len(self._free)
-            self._grid = np.concatenate((self._grid.reshape(old, g), np.empty((more, g))))
-            self._curve = np.concatenate((self._curve.reshape(old, g, self.dim),
-                                          np.empty((more, g, self.dim))))
+    def _slots(self, n: int) -> np.ndarray:
+        """n free pool rows, the pool grown just enough: rows stay as few as
+        active members."""
+        more = n - len(self._free)
+        if more > 0:
+            old = len(self._curve)
+            self._curve = np.concatenate((self._curve, np.empty((more,) + self._curve.shape[1:])))
             self._free.extend(range(old + more - 1, old - 1, -1))
-        slot = np.array([self._free.pop() for _ in range(n)], dtype=np.intp)
-        self._grid[slot] = grid
-        return slot
+        return np.array([self._free.pop() for _ in range(n)], dtype=np.intp)
 
     def _initial_step(self, y0, t0, t1, rate, max_step, direction):
         """First derivative and the Hairer–Nørsett–Wanner starting step."""
         f0 = self.rhs(y0, t0, rate)
         interval = np.abs(t1 - t0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scale = self.atol + np.abs(y0) * self.rtol
-            d0 = _rms(y0 / scale)
-            d1 = _rms(f0 / scale)
-            h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-            h0 = np.minimum(h0, interval)
-            y1 = y0 + (h0 * direction)[:, None] * f0
-            f1 = self.rhs(y1, t0 + h0 * direction, rate)
-            d2 = _rms((f1 - f0) / scale) / h0
-            h1 = np.where(
-                (d1 <= 1e-15) & (d2 <= 1e-15),
-                np.maximum(1e-6, h0 * 1e-3),
-                (0.01 / np.maximum(d1, d2)) ** 0.2,
-            )
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, interval)
+        y1 = y0 + (h0 * direction)[:, None] * f0
+        f1 = self.rhs(y1, t0 + h0 * direction, rate)
+        d2 = _rms((f1 - f0) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** 0.2,
+        )
         return f0, np.minimum(np.minimum(np.minimum(100 * h0, h1), interval), max_step)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def advance(self) -> list[int]:
-        """One step attempt for every active member; returns stopped ids.
-
-        Escaping members overflow on the way out: callers run this under
-        ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``.
-        """
+        """One step attempt for every active member; returns stopped ids."""
         t, y, f, d = self.t, self.y, self.f, self.direction
         n = len(t)
         rej = self.rejected
@@ -423,7 +419,6 @@ class Batch:
         if all_ok:
             self.h_abs = h_abs * grow
             self.t, self.y, self.f = t_new, y_new, K[6]
-            rec = self.record
         else:
             shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
             self.h_abs = h_abs * np.where(ok, grow, shrink)
@@ -431,10 +426,10 @@ class Batch:
             self.t = np.where(ok, t_new, t)
             self.y = np.where(okc, y_new, y)
             self.f = np.where(okc, K[6], f)
-            rec = ok & self.record
         self.rejected = ~ok
-        if np.count_nonzero(rec):
-            self._keep(rec, t_new, y_new, K)
+        if self.record:
+            for j in np.flatnonzero(ok):
+                self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
         sampled = (self.slot >= 0) & ok
         if np.count_nonzero(sampled):
             self._sample(np.flatnonzero(sampled), t, y, h, t_new, K)
@@ -456,17 +451,12 @@ class Batch:
         status = np.where(esc, ESCAPED, np.where(under, STEP_UNDERFLOW, COMPLETED))
         return self._stop(stopped, status)
 
-    def _keep(self, rec, t_new, y_new, K):
-        """Keep the accepted steps of recording members."""
-        for j in np.flatnonzero(rec):
-            self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
-
     def _sample(self, j, t, y, h, t_new, K) -> None:
         """Write the accepted steps of members j (t, y, h and K over all
-        active members) onto their sample grids."""
+        active members) onto the sample grid."""
         slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
-        end = np.where(t_new == self.t_bound[j], self._grid.shape[1],
-                       np.count_nonzero(self._grid[slot] < t_new[:, None], axis=1))
+        end = np.where(t_new == self.t_bound[j], len(self.grid),
+                       np.searchsorted(self.grid, t_new))
         n = end - pos
         if not np.count_nonzero(n):
             return
@@ -475,7 +465,7 @@ class Batch:
         p = np.arange(len(m)) - np.repeat(np.cumsum(n) - n, n) + pos[m]
         q = _coeffs(K[:, j])
         jm, sm = j[m], slot[m]
-        self._curve[sm, p] = _dense(q[m], t[jm], h[jm], y[jm], self._grid[sm, p])
+        self._curve[sm, p] = _dense(q[m], t[jm], h[jm], y[jm], self.grid[p])
         self.pos[j] = end
 
     def _stop(self, mask: np.ndarray, status) -> list[int]:
@@ -534,24 +524,24 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     """Bracket the blow-up time after the escape norm was crossed.
 
     The crossing instant inside the last accepted step, bisected on that
-    step's dense output, gives the lower end.  Integration then continues
-    (escape check off) until the step size underflows or the state stops
-    being finite, which pins the singularity from below; a guard of a quarter
-    of the distance from the crossing to where the continuation stopped
-    closes the bracket from above, so the singularity sits about 80% of the
-    way along, not at the very end.
+    step's dense output, gives the end nearer the start.  Integration then
+    continues (escape check off) until the step size underflows or the state
+    stops being finite, which pins the singularity on the near side; a guard
+    of a quarter of the distance from the crossing to where the continuation
+    stopped closes the bracket on the far side, so the singularity sits
+    about 80% of the way along from the crossing, not at the very end.
     Returns the bracket and whether a singularity was found.
     """
     last = len(traj.coeffs) - 1
     seg = lambda t: traj._poly(np.array([last]), np.array([t]))[0]
     nrm = lambda t: float(np.linalg.norm(seg(t))) - cfg.escape_norm
-    a, b = sorted((float(traj.times[-2]), float(traj.times[-1])))
+    a, b = float(traj.times[-2]), float(traj.times[-1])  # in integration order
     if nrm(a) >= 0:
         t_cross = a
     elif nrm(b) <= 0:
         t_cross = b
     else:
-        t_cross = _zero_in(nrm, a, b)
+        t_cross = _zero_in(nrm, *sorted((a, b)))
 
     # Loose tolerances here: only the blow-up *time* matters, and step-size
     # control still contracts geometrically toward the singularity.  Tight
@@ -559,13 +549,11 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     t_esc = traj.t_end
     ext = max(10 * cfg.max_step, 1e3 * abs(t_esc - t_cross))
     probe = Batch(rhs, traj.states.shape[1], rtol=1e-3, atol=max(1.0, cfg.abs_tol))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probe.start([0], traj.final_state, t_esc, t_esc + direction * ext,
-                    max_step=cfg.max_step)
-        attempts = 0
-        while probe.n_active and attempts < _REFINE_MAX_STEPS:
-            probe.advance()
-            attempts += 1
+    probe.start([0], traj.final_state, t_esc, t_esc + direction * ext, max_step=cfg.max_step)
+    attempts = 0
+    while probe.n_active and attempts < _REFINE_MAX_STEPS:
+        probe.advance()
+        attempts += 1
     if 0 in probe.final:
         status, t_reach, _ = probe.final[0]
     else:
@@ -585,20 +573,20 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
 def integrate_members(rhs, dim: int, x0: np.ndarray, t0: float, t1: float,
                       cfg: IntegratorConfig, rate: float = 0.0, record: bool = False,
                       grid=None) -> Batch:
-    """Integrate the members x0[i] of one field from t0 to t1 as one batch.
+    """Integrate the members x0[i] of one field from t0 to t1 (t1 != t0) as
+    one batch.
 
-    ``rhs`` is a ``Batch`` rhs, called with ``rate`` as R.  Returns
-    the stopped batch: member i's ``final``, its ``samples`` on ``grid``
-    when it completed, or with ``record`` its ``trajectory``, whose dense
-    output ends, on an escape, where it crossed ``cfg.escape_norm``.
+    ``rhs`` is a ``Batch`` rhs, called with ``rate`` as R; ``grid`` and
+    ``record`` are the batch's.  Returns the stopped batch: member i's
+    ``final``, its ``samples`` on ``grid`` (running from t0 to t1) when it
+    completed, or with ``record`` its ``trajectory``, whose dense output
+    ends, on an escape, where it crossed ``cfg.escape_norm``.
     """
-    if t1 == t0:
-        raise ValueError("t1 must differ from t0")
-    batch = Batch(rhs, dim, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm, cfg.min_step)
-    batch.start(np.arange(len(x0)), x0, t0, t1, rate, cfg.max_step, record, grid)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while batch.n_active:
-            batch.advance()
+    batch = Batch(rhs, dim, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm, cfg.min_step,
+                  grid, record)
+    batch.start(np.arange(len(x0)), x0, t0, t1, rate, cfg.max_step)
+    while batch.n_active:
+        batch.advance()
     return batch
 
 

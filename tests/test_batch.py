@@ -119,13 +119,11 @@ def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
 
     def run(x0s, t1s):
         batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step)
+                      cfg.escape_norm, cfg.min_step, record=True)
         ids = np.arange(len(x0s))
-        batch.start(ids, np.array(x0s, dtype=float), 0.0, t1s, model.rate,
-                    cfg.max_step, record=True)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while batch.n_active:
-                batch.advance()
+        batch.start(ids, np.array(x0s, dtype=float), 0.0, t1s, model.rate, cfg.max_step)
+        while batch.n_active:
+            batch.advance()
         return [batch.trajectory(i) for i in ids]
 
     companion = [0.0] * model.dimension
@@ -150,34 +148,66 @@ def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
 ])
 def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense):
     # a member sampled while it steps reads, bitwise, what its recorded
-    # trajectory's dense output gives on the same grid: batched, with mixed
-    # end times, and alone.  A step cap of 0.35 spans about 17 points of a
-    # 201-point grid over (0, 4), so one step writes several points.
+    # trajectory's dense output gives on the batch's grid: batched and alone.
+    # A step cap of 0.35 spans about 17 points of a 201-point grid over
+    # (0, 4), so one step writes several points.
     model = make_model(name, **params)
     cfg = integrator_config(model, {"max_step": max_step})
     x0s = starts[sense]
-    ends = [4.0, 2.5, 4.0]
-    grids = np.array([np.linspace(0.0, t1, 201) for t1 in ends])
+    grid = np.linspace(0.0, 4.0, 201)
 
-    def run(x0s, ends, grids):
+    def run(x0s):
         batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step)
+                      cfg.escape_norm, cfg.min_step, grid=grid, record=True)
         ids = np.arange(len(x0s))
-        batch.start(ids, np.array(x0s, dtype=float), 0.0, ends, model.rate, cfg.max_step,
-                    record=True, grid=grids)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while batch.n_active:
-                batch.advance()
+        batch.start(ids, np.array(x0s, dtype=float), 0.0, 4.0, model.rate, cfg.max_step)
+        while batch.n_active:
+            batch.advance()
         assert all(batch.final[i][0] == "completed" for i in ids)
         return [(batch.samples[i], batch.trajectory(i)) for i in ids]
 
-    together = run(x0s, ends, grids)
+    together = run(x0s)
     for i, (samples, traj) in enumerate(together):
-        assert np.array_equal(samples, traj.eval(grids[i]))
+        assert np.array_equal(samples, traj.eval(grid))
         assert len(traj.times) - 1 < 200  # steps span several grid points
-        ((alone, alone_traj),) = run(x0s[i:i + 1], ends[i:i + 1], grids[i:i + 1])
-        assert np.array_equal(alone, alone_traj.eval(grids[i]))
+        ((alone, alone_traj),) = run(x0s[i:i + 1])
+        assert np.array_equal(alone, alone_traj.eval(grid))
         assert np.array_equal(alone, samples)
+
+
+@pytest.mark.parametrize("t0", [0.5, -1.0])
+def test_member_ending_on_the_grid_must_start_on_it(t0):
+    # a member that ends on the grid's last point is sampled, which needs
+    # it to cover the whole grid; other end times are not sampled
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    batch = Batch(model.rhs, 1, 1e-9, 1e-9, grid=np.linspace(0.0, 4.0, 201))
+    with pytest.raises(ValueError, match="last grid point"):
+        batch.start([0, 1], [[0.5], [0.5]], [0.0, t0], 4.0, model.rate)
+    batch.start([0], [[0.5]], t0, 3.0, model.rate)
+    while batch.n_active:
+        batch.advance()
+    assert batch.final[0][0] == "completed" and not batch.samples
+
+
+def test_pullback_batch_needs_one_window():
+    model = make_model("moving-sn", mu=0.5)
+    cfg = integrator_config(model)
+    jobs = [job for window in [(0.0, 4.0), (0.0, 2.0)]
+            for job in _rate_jobs(model, [0.03], None, window, 1e-6, 4096.0)[0]]
+    with pytest.raises(ValueError, match="window"):
+        run_pullbacks(jobs, cfg)
+
+
+def test_batch_steps_through_overflow_without_warning():
+    # the blow-up probe's settings, with no escape norm, from a start whose
+    # rhs overflows at once: the batch ignores it (warnings are errors here)
+    # and stops the member once its step underflows
+    model = make_model("moving-sn", mu=0.5, r=0.1)
+    batch = Batch(model.rhs, 1, 1e-3, 1.0)
+    batch.start([0], [[-1e150]], 0.0, 1.0, model.rate)
+    while batch.n_active:
+        batch.advance()
+    assert batch.final[0][0] == "step_underflow"
 
 
 @pytest.mark.parametrize("name,params,sense", [

@@ -234,6 +234,11 @@ class TestInvalidInput:
         (["simulate", "--model", "moving-sn", "--set", "mu=nan"], None),
         (["simulate", "--model", "bounded-ramp-sn", "--set", "lambda_max=nan"], None),
         (["simulate", "--model", "moving-pitchfork", "--set", "p=2.5"], None),
+        (["simulate", "--model", "drift"], {"samples": 2.5}),
+        (["simulate", "--model", "drift"], {"samples": True}),
+        (["pullback", "--model", "drift"], {"window": [True, 4]}),
+        (["tip", "--model", "drift", "--r-range", "0.5,2"], {"resolution": True}),
+        (["simulate", "--model", "drift", "--samples", "0"], None),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
             "integrator-type", "config-window-length", "config-x0-length", "config-t0",
@@ -241,7 +246,9 @@ class TestInvalidInput:
             "s-grid-count-zero", "s-grid-count-negative", "s-grid-count-fraction",
             "r-range-count-fraction", "r-range-count-zero", "config-s-grid-count-zero",
             "threads-zero", "threads-negative", "rate-nan", "rate-infinite",
-            "mu-infinite", "mu-nan", "lambda-max-nan", "degree-fraction"])
+            "mu-infinite", "mu-nan", "lambda-max-nan", "degree-fraction",
+            "config-samples-fraction", "config-samples-bool", "config-window-bool",
+            "config-resolution-bool", "samples-zero"])
     def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
         if analysis is not None:
             cfg = tmp_path / "cfg.json"

@@ -84,6 +84,29 @@ def test_moving_sn_bracket_starts_at_the_escape_crossing(mu, frac, x0, t0):
     assert norm(lo - width) <= m.escape_norm <= norm(lo + width)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.25, 1.0),
+    frac=st.floats(0.003, 1.0),
+    x0=st.floats(-2.0, 2.0),
+    t0=st.floats(-5.0, 5.0),
+)
+def test_moving_sn_backward_bracket_ends_at_the_escape_crossing(mu, frac, x0, t0):
+    # backward in time y = x - rt - mu/2 blows up to +inf, at t0 - (pi/2 -
+    # atan(y0/sqrt c))/sqrt c; the crossing is then the bracket's upper end
+    r = mu * mu / 4.0 + frac * mu * mu / 2.0
+    c = r - mu * mu / 4.0
+    y0 = x0 - r * t0 - mu / 2.0
+    t_sing = t0 - (math.pi / 2.0 - math.atan(y0 / math.sqrt(c))) / math.sqrt(c)
+    m = make_model("moving-sn", mu=mu, r=r)
+    traj = integrate(m.field, [x0], t0, t_sing - 10.0,
+                     IntegratorConfig(escape_norm=m.escape_norm))
+    _, hi = traj.escape_bracket
+    norm = lambda t: float(np.linalg.norm(traj.eval(t)))
+    width = 1e-14 + 2.0 * abs(np.spacing(hi))
+    assert norm(hi + width) <= m.escape_norm <= norm(hi - width)
+
+
 # Each QSE branch follows one frozen equilibrium of the catalog, with its label.
 _QSE_LABELS = {
     "moving-cubic": {"qse_stable+": "stable", "qse_stable-": "stable",
