@@ -8,8 +8,11 @@ batch or which they are, a batch of one included.  The tableau, the step-size
 controller and the initial-step heuristic are those of Dormand & Prince,
 *J. Comput. Appl. Math.* 6 (1980), and Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.4–II.6; the quartic dense output is Shampine's, *Math. Comp.* 46
-(1986).  A batch records the steps of all its members or of none, samples
-those that cross its one time grid, and ignores their overflow on the way out.
+(1986).  Every step runs one code path: members that are retrying, clipped
+at their end time or rejected are told apart by masks, not by branches.  A
+batch records the steps of all its members or of none, samples those that
+cross its one time grid, and ignores their overflow on the way out.  A member
+that starts past the escape norm stops in ``Batch.start``, before any step.
 
 ``integrate`` is the one-member case.  It records every accepted step for a
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
@@ -189,7 +192,8 @@ class Trajectory:
     the singularity (the bracket then contains it), and False when it did
     not: the far end is then only as far as integration reached.
     ``coeffs[k]`` holds the dense-output polynomial of step k, as a [d, 4]
-    array.
+    array; a one-sample trajectory (escaped at its start) carries an empty
+    [0, d, 4] ``coeffs`` and has no dense output.
     """
 
     times: np.ndarray
@@ -251,8 +255,10 @@ class Batch:
     ``rhs(X, T, R)`` evaluates the field at states X[n, d], times T[n] and
     rates R[n].  ``start`` adds members (or restarts stopped ones on a new
     leg) with a fresh initial step; ``advance`` makes one step attempt for
-    every active member and returns the ids of those that stopped, whose
-    ``(status, t, y)`` then sit in ``final``.  A member stops
+    every active member, all on one code path, and returns the ids of those
+    that stopped, whose ``(status, t, y)`` then sit in ``final``.  Only
+    ``start`` stops a member that starts at or past ``escape_norm`` (at t0,
+    with no step), a lone ``integrate`` included.  A member stops
     when it reaches its end time (``completed``), when its state norm
     reaches ``escape_norm`` or stops being finite (``escaped``), or when its
     step underflows: below ten units in the last place of t on a retry, or
@@ -378,29 +384,23 @@ class Batch:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def advance(self) -> list[int]:
         """One step attempt for every active member; returns stopped ids."""
-        t, y, f, d = self.t, self.y, self.f, self.direction
-        n = len(t)
-        rej = self.rejected
-        any_rej = np.count_nonzero(rej)
+        t, y, f, d, rej = self.t, self.y, self.f, self.direction, self.rejected
         min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
-        h_abs = np.minimum(np.maximum(self.h_abs, min_step), self.max_step)
-        if any_rej:
-            # a retry keeps its shrunk step, and fails once that is too small
-            h_abs = np.where(rej, self.h_abs, h_abs)
-            fail = rej & (h_abs < min_step)
-            if np.count_nonzero(fail):
-                return self._stop(fail, STEP_UNDERFLOW)
+        # a retry keeps its shrunk step, and fails once that is too small
+        h_abs = np.where(rej, self.h_abs,
+                         np.minimum(np.maximum(self.h_abs, min_step), self.max_step))
+        fail = rej & (h_abs < min_step)
+        if np.count_nonzero(fail):
+            return self._stop(fail, STEP_UNDERFLOW)
 
         t_new = t + h_abs * d
-        over = d * (t_new - self.t_bound) > 0
-        if np.count_nonzero(over):
-            t_new = np.where(over, self.t_bound, t_new)
+        t_new = np.where(d * (t_new - self.t_bound) > 0, self.t_bound, t_new)
         h = t_new - t
         h_abs = np.abs(h)
         H = h[:, None]
         R = self.rate
         T = t + np.multiply.outer(_C, h)
-        K = np.empty((7, n, self.dim))
+        K = np.empty((7, len(t), self.dim))
         K[0] = f
         for j in range(1, 6):
             K[j] = self.rhs(y + _wsum(K, _A_W[j]) * H, T[j], R)
@@ -411,21 +411,14 @@ class Batch:
         err_norm = _rms(err / scale)
         factor = _SAFETY * err_norm ** _ERR_EXP
         ok = err_norm < 1
-        all_ok = np.count_nonzero(ok) == n
-        grow = np.minimum(_MAX_FACTOR, factor)
-        if any_rej:
-            # no growth on the step that follows a rejection
-            grow = np.where(rej, np.minimum(1.0, grow), grow)
-        if all_ok:
-            self.h_abs = h_abs * grow
-            self.t, self.y, self.f = t_new, y_new, K[6]
-        else:
-            shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
-            self.h_abs = h_abs * np.where(ok, grow, shrink)
-            okc = ok[:, None]
-            self.t = np.where(ok, t_new, t)
-            self.y = np.where(okc, y_new, y)
-            self.f = np.where(okc, K[6], f)
+        # factor is >= _SAFETY when accepted, <= _SAFETY or NaN when rejected:
+        # one clip grows (by at most 1 after a rejection) or shrinks the step
+        cap = np.where(rej, 1.0, _MAX_FACTOR)
+        self.h_abs = h_abs * np.fmax(np.minimum(cap, factor), _MIN_FACTOR)
+        okc = ok[:, None]
+        self.t = np.where(ok, t_new, t)
+        self.y = np.where(okc, y_new, y)
+        self.f = np.where(okc, K[6], f)
         self.rejected = ~ok
         if self.record:
             for j in np.flatnonzero(ok):
@@ -434,18 +427,11 @@ class Batch:
         if np.count_nonzero(sampled):
             self._sample(np.flatnonzero(sampled), t, y, h, t_new, K)
 
-        # An accepted step ends at t_bound exactly when it reaches it.
-        escaped = ~(_norm2(y_new) < self.escape_norm)
-        check = escaped | (self.h_abs < self.min_step) | (t_new == self.t_bound)
-        if not all_ok:
-            check &= ok
-        if not np.count_nonzero(check):
-            return []
-        esc = check & escaped
-        under = (check & ~esc & (self.h_abs < self.min_step)
-                 & (np.abs(self.t_bound - t_new) > self.min_step))
-        done = check & ~esc & ~under & (t_new == self.t_bound)
-        stopped = esc | under | done
+        # An accepted step stops its member on an escape, else on a step
+        # underflow short of t_bound, else when it ends at t_bound exactly.
+        esc = ~(_norm2(y_new) < self.escape_norm)
+        under = (self.h_abs < self.min_step) & (np.abs(self.t_bound - t_new) > self.min_step)
+        stopped = ok & (esc | under | (t_new == self.t_bound))
         if not np.count_nonzero(stopped):
             return []
         status = np.where(esc, ESCAPED, np.where(under, STEP_UNDERFLOW, COMPLETED))
@@ -458,8 +444,6 @@ class Batch:
         end = np.where(t_new == self.t_bound[j], len(self.grid),
                        np.searchsorted(self.grid, t_new))
         n = end - pos
-        if not np.count_nonzero(n):
-            return
         # row m[i] of j takes grid point p[i]: its points pos..end-1 in turn
         m = np.repeat(np.arange(len(j)), n)
         p = np.arange(len(m)) - np.repeat(np.cumsum(n) - n, n) + pos[m]
@@ -602,9 +586,9 @@ def integrate(
     Terminates early with status ``escaped`` when the state norm reaches
     ``cfg.escape_norm`` (with a blow-up time bracket) or ``step_underflow``
     when step control drives the step below ``cfg.min_step`` without an
-    escape event.  A start state already past the escape norm gives a
-    one-sample ``escaped`` trajectory with bracket (t0, t0) and no dense
-    output.
+    escape event.  A start state already past the escape norm, which
+    ``Batch.start`` stops, gives a one-sample ``escaped`` trajectory with
+    bracket (t0, t0), ``bracket_verified`` False and no dense output.
     """
     cfg = cfg or IntegratorConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -616,19 +600,13 @@ def integrate(
         raise ValueError("t0 and t1 must be finite")
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
-    direction = 1.0 if t1 > t0 else -1.0
-
-    if float(np.linalg.norm(x0)) >= cfg.escape_norm:
-        return Trajectory(
-            np.array([t0]), x0[None, :], ESCAPED, escape_bracket=(t0, t0),
-            bracket_verified=False,
-        )
-
     rhs = _member_rhs(field)
     traj = integrate_members(rhs, field.dimension, x0[None, :], t0, t1, cfg,
                              record=True).trajectory(0)
-    if traj.status == ESCAPED:
+    if traj.status == ESCAPED and len(traj.times) == 1:  # started past the escape norm
+        traj.escape_bracket, traj.bracket_verified = (t0, t0), False
+    elif traj.status == ESCAPED:
         traj.escape_bracket, traj.bracket_verified = _escape_bracket(
-            rhs, traj, cfg, direction
+            rhs, traj, cfg, 1.0 if t1 > t0 else -1.0
         )
     return traj

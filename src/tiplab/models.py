@@ -298,16 +298,20 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
     )
 
 
-def _cubic_comoving_roots(mu: float, r: float) -> np.ndarray:
-    """Real roots of -u^3 + mu^2 u - r = 0, ascending."""
-    roots = np.roots([-1.0, 0.0, mu * mu, -r])
-    real = np.sort(roots[np.abs(roots.imag) < 1e-9].real)
-    # collapse near-coincident roots at the fold
-    keep = [real[0]] if real.size else []
-    for v in real[1:]:
-        if abs(v - keep[-1]) > 1e-9:
-            keep.append(v)
-    return np.asarray(keep)
+def _cubic_comoving_roots(mu: float, r: float, rstar: float) -> np.ndarray:
+    """Real roots of u^3 - mu^2 u + r = 0, ascending, in closed form.
+
+    For |r| <= r* = 2 mu^3 / (3 sqrt 3) they are s cos(theta + 2 pi k / 3),
+    k = -1, 0, 1, with s = 2 mu / sqrt 3 and theta = arccos(-r / r*) / 3.  At
+    r = +/-r* the ratio is exactly -/+1 and the double root (the fold) comes
+    out twice bit for bit, so it is listed once.  Beyond r* one root is left,
+    -sign(r) s cosh(arccosh(|r| / r*) / 3).
+    """
+    s, c = 2.0 * mu / math.sqrt(3.0), -r / rstar
+    if abs(c) > 1.0:
+        return np.array([-math.copysign(s, r) * math.cosh(math.acosh(abs(c)) / 3.0)])
+    theta = math.acos(c) / 3.0
+    return np.unique([s * math.cos(theta + k * 2.0 * math.pi / 3.0) for k in (-1, 0, 1)])
 
 
 def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
@@ -328,7 +332,7 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
         return (-u * (u - mu) * (u + mu))[..., None]
 
     def roots_or_raise(which):
-        roots = _cubic_comoving_roots(mu, r)
+        roots = _cubic_comoving_roots(mu, r, rstar)
         if which == "attractor-":
             if r < -rstar:
                 raise CurveUndefined("bottom attractor annihilated for r < -r*")
@@ -337,10 +341,10 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
             if r > rstar:
                 raise CurveUndefined("top attractor annihilated for r > r*")
             return roots[-1]
-        # repeller
+        # repeller: the middle root, or the fold; the root nearest 0 either way
         if abs(r) > rstar:
             raise CurveUndefined("repeller annihilated for |r| > r*")
-        return roots[1] if roots.size >= 3 else roots[0]
+        return roots[np.argmin(np.abs(roots))]
 
     def stability_of(u):
         d = -3.0 * u * u + mu * mu
@@ -349,7 +353,7 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
         return "stable" if d < 0 else "unstable"
 
     def equilibria():
-        return [(np.array([u]), stability_of(u)) for u in _cubic_comoving_roots(mu, r)]
+        return [(np.array([u]), stability_of(u)) for u in _cubic_comoving_roots(mu, r, rstar)]
 
     comoving = ComovingDescriptor(
         gain=np.array([1.0]),

@@ -264,10 +264,7 @@ def _classify(model: ModelSpec, lo: float, hi: float) -> str:
     either side of the bracket.  Two fewer is a saddle-node, or a pitchfork
     when the richer side holds three: a pair that mirrors into itself when
     one coordinate is negated, and one point on that mirror (to 1e-9)."""
-    try:
-        m_lo, m_hi = model.with_rate(lo), model.with_rate(hi)
-    except TiplabError:
-        return "unclassified"
+    m_lo, m_hi = model.with_rate(lo), model.with_rate(hi)
     if m_lo.comoving is None or m_lo.comoving.equilibria is None:
         return "unclassified"
     sides = [[y for y, _ in m.comoving.equilibria()] for m in (m_lo, m_hi)]
@@ -534,8 +531,6 @@ def sweep(
     r_values = [float(r) for r in r_values]
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    if not r_values:
-        return []
     cfg = cfg or integrator_config(model)
     return [d.summary() for d in
             _diagnose_rates(model, r_values, anchors, window, tol, MAX_LOOKBACK, cfg)]

@@ -210,6 +210,21 @@ def test_batch_steps_through_overflow_without_warning():
     assert batch.final[0][0] == "step_underflow"
 
 
+def test_pullback_member_starting_past_the_escape_norm():
+    # p = 3 at r = 3: the doubling k = 12 starts at a norm of about 1.85e12,
+    # past the model's escape norm of 1e12, so Batch.start stops it before
+    # any step; the estimate converges on 7 start times without it, exactly
+    # as it does with a lookback where no member starts past the norm
+    model = make_model("moving-pitchfork", p=3, r=3.0)
+    assert model.escape_norm == 1e12
+    deep, short = estimate_pullback(model), estimate_pullback(model, max_lookback=2048)
+    assert deep.status == "converged" and len(deep.start_times) == 7
+    assert_same_estimate(deep, short)
+    for name in ("window", "anchor_note", "sense"):
+        assert getattr(deep, name) == getattr(short, name)
+    assert np.array_equal(deep.anchor, short.anchor)
+
+
 @pytest.mark.parametrize("name,params,sense", [
     ("moving-sn", {"mu": 0.5, "r": 0.03}, "attracting"),
     ("moving-sn", {"mu": 0.5, "r": 0.03}, "repelling"),

@@ -11,6 +11,7 @@ from tiplab.integrate import (
     VectorFieldHandle,
     integrate,
 )
+from tiplab.models import make_model
 
 
 def linear_decay():
@@ -103,6 +104,17 @@ class TestIntegrate:
         traj = integrate(linear_decay(), [100.0], 0.0, 1.0, cfg)
         assert traj.status == ESCAPED
         assert traj.escape_bracket == (0.0, 0.0)
+
+    def test_immediate_escape_in_the_plane(self):
+        m = make_model("moving-pitchfork")
+        traj = integrate(m.field, [1e13, 0.0], 0.0, 1.0, IntegratorConfig(escape_norm=1e12))
+        assert traj.status == ESCAPED
+        assert len(traj.times) == 1 and traj.states.shape == (1, 2)
+        assert traj.escape_bracket == (0.0, 0.0)
+        assert traj.bracket_verified is False
+        assert traj.coeffs.shape == (0, 2, 4)
+        with pytest.raises(ValueError):
+            traj.eval(0.0)
 
 
 class TestBlowUp:

@@ -166,6 +166,30 @@ class TestOracles:
         # bottom attractor survives past the positive fold
         oracle_curve(m.with_rate(rstar + 0.01), "attractor-", 0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("mu", [0.5, 0.75, 1.0, 1.25, 1.5])
+    def test_cubic_fold_is_one_degenerate_point(self, mu, sign):
+        # at r = sign r* the repeller meets the attractor on that side at
+        # u = sign mu / sqrt 3; the other attractor sits at -2 sign mu / sqrt 3
+        tol = 1e-12 * max(1.0, mu)
+        rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
+        r = sign * rstar
+        fold, far = sign * mu / math.sqrt(3.0), -2.0 * sign * mu / math.sqrt(3.0)
+        m = make_model("moving-cubic", mu=mu, r=r)
+        eq = {label: float(u[0]) for u, label in m.comoving.equilibria()}
+        assert len(m.comoving.equilibria()) == 2 and sorted(eq) == ["degenerate", "stable"]
+        assert abs(eq["degenerate"] - fold) <= tol
+        assert abs(eq["stable"] - far) <= tol
+        near, other = ("attractor+", "attractor-") if sign > 0 else ("attractor-", "attractor+")
+        for t in (0.0, 2.0):
+            for key, u in ((near, fold), ("repeller", fold), (other, far)):
+                assert abs(oracle_curve(m, key, t)[0] - (r * t + u)) <= tol, (key, t)
+        beyond = m.with_rate(r * (1.0 + 1e-9))
+        for key in (near, "repeller"):
+            with pytest.raises(CurveUndefined):
+                oracle_curve(beyond, key, 0.0)
+        oracle_curve(beyond, other, 0.0)
+
     def test_pitchfork_attractor_pair(self):
         m = make_model("moving-pitchfork", mu=1.0, r=0.5, p=1)
         up = oracle_curve(m, "attractor+", 0.0)

@@ -80,7 +80,7 @@ def test_moving_sn_bracket_starts_at_the_escape_crossing(mu, frac, x0, t0):
                      IntegratorConfig(escape_norm=m.escape_norm))
     lo, _ = traj.escape_bracket
     norm = lambda t: float(np.linalg.norm(traj.eval(t)))
-    width = 1e-14 + 2.0 * np.spacing(lo)
+    width = 1e-14 + 2.0 * abs(np.spacing(lo))
     assert norm(lo - width) <= m.escape_norm <= norm(lo + width)
 
 

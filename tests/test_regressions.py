@@ -2,8 +2,9 @@
 each critical-rate bracket reports, for non-finite times, ranges and
 anchors, for finite-horizon tests given a bad horizon, for curve dedupe on
 large curves, for the step count and convergence of deep pullbacks, for an
-import and a core free of scipy, for every exported name, and for the
-tipping predicate's known wrong answers."""
+import and a core free of scipy, for every exported name, for the
+tipping predicate's known wrong answers, and for the report of a failing
+property test."""
 import ast
 import importlib
 import inspect
@@ -252,3 +253,25 @@ class TestKnownWrongVerdicts:
         diag = rate_diagnostics(make_model("drift"), r=0.5, anchors=[[1.0], [-1.0]],
                                 include_forward=False)
         assert diag.tipped is False
+
+
+def test_failing_property_test_reports_a_failure(tmp_path):
+    # hypothesis's failure report imports libcst, which warns of its own use
+    # of a deprecated TypedDict; the suite's settings turn warnings into
+    # errors, and that warning alone must not end the run in INTERNALERROR
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_always_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(n):\n"
+        "    assert n != n\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         str(tmp_path / "test_always_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "1 failed" in out and "INTERNALERROR" not in out, out
