@@ -249,6 +249,31 @@ class PullbackJob:
         return True
 
 
+def _exit_bounds(model: ModelSpec, sense: str) -> tuple[float, float, float]:
+    """A pullback member's exit box (gain, lo, hi) in x - gain·λ(rt): the
+    edges of ``comoving.box``, shifted by the co-moving offset, on the sides
+    where the co-moving field g, in the sense's integration time, points
+    away from the box; -inf and inf elsewhere.
+
+    Only a scalar model whose closed-form co-moving equilibria all lie
+    strictly inside the box gets finite edges.  Then g keeps one sign beyond
+    each edge, so a state past an edge where g points away moves away
+    monotonically, with no equilibrium left to approach: it diverges and is
+    never attracted.
+    """
+    cm = model.comoving
+    if model.dimension != 1 or cm is None or cm.equilibria is None:
+        return 0.0, -math.inf, math.inf
+    ((a, b),) = cm.box
+    if not all(a < y[0] < b for y, _ in cm.equilibria()):
+        return 0.0, -math.inf, math.inf
+    s = 1.0 if sense == "attracting" else -1.0
+    g = lambda y: s * float(cm.field(np.array([y]))[0])
+    off = float(cm.offset[0])
+    return (float(cm.gain[0]), a + off if g(a) < 0 else -math.inf,
+            b + off if g(b) > 0 else math.inf)
+
+
 def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     """Resolve pullback jobs, integrating their missing doublings as one batch.
 
@@ -259,6 +284,17 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     sampled onto the batch's curve grid while it steps.  Each job resolves in
     doubling order and drops its remaining members once it converges or
     escapes.  All jobs must share one model family, sense, window and ``cfg``.
+
+    A member escapes, on either leg, when its norm reaches
+    ``cfg.escape_norm`` or, for a scalar model with a co-moving frame, once
+    its co-moving state y = x - v(t) leaves ``comoving.box`` on a side where
+    the co-moving field points away from the box and every closed-form
+    co-moving equilibrium at its rate lies strictly inside the box.  Beyond
+    every equilibrium a scalar autonomous flow moves monotonically away and
+    is never attracted, so such a member diverges: the stop saves its crawl
+    out to the escape norm.  Each rate's edges are read once from the
+    catalog's closed forms (``_exit_bounds``) and each member is checked on
+    its own, so its result still does not depend on its batch.
     """
     jobs = [job for job in jobs if not job.resolve(cfg)]
     if not jobs:
@@ -275,14 +311,22 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
         ids_of.setdefault(id(job), []).append(i)
     starts = [job.start_state(k) for job, k in members]
     rates = np.array([job.model.rate for job, _ in members])
+    models = {job.model.rate: job.model for job in jobs}
+    edges = {r: _exit_bounds(m, sense) for r, m in models.items()}
+    bounds = np.array([edges[r] for r in rates.tolist()])
+    frame = None
+    if np.isfinite(bounds[:, 1:]).any():
+        ramp = model.comoving.ramp  # the family's kind; each member brings its rate
+        frame = ramp.value if sense == "attracting" else (lambda T, R: ramp.value(-T, R))
     batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
-                  cfg.escape_norm, cfg.min_step, grid=first.grid)
+                  cfg.escape_norm, cfg.min_step, grid=first.grid, frame=frame)
     stopped = batch.start(
         np.arange(len(members)),
         np.array([x for _, x in starts]),
         [s for s, _ in starts],
         wa,
         rates,
+        bounds=bounds,
     )
     x_wa: dict[int, np.ndarray] = {}  # window-start states of the window legs
     while stopped or batch.n_active:
@@ -308,6 +352,7 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
                 wb,
                 rates[restart],
                 max_step=cfg.max_step,
+                bounds=bounds[restart],
             )
         if not stopped and batch.n_active:
             stopped = batch.advance()

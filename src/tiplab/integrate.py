@@ -13,6 +13,8 @@ at their end time or rejected are told apart by masks, not by branches.  A
 batch records the steps of all its members or of none, samples those that
 cross its one time grid, and ignores their overflow on the way out.  A member
 that starts past the escape norm stops in ``Batch.start``, before any step.
+Given a co-moving frame, a scalar member also stops as escaped when it leaves
+its own exit box, which pullbacks set where the flow is proven to diverge.
 
 ``integrate`` is the one-member case.  It records every accepted step for a
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
@@ -246,7 +248,7 @@ class Trajectory:
 
 # The per-member arrays of a Batch, one entry per active member.
 _MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "t_bound",
-                  "direction", "max_step", "rate", "slot", "pos")
+                  "direction", "max_step", "rate", "slot", "pos", "next_t", "bounds")
 
 
 class Batch:
@@ -269,13 +271,22 @@ class Batch:
     points in [t, t_new), and from the step that reaches the end time at all
     points left: the step and arithmetic ``Trajectory.eval`` would use.  It
     holds a pool row while active and, if it completes, leaves its curve in
-    ``samples``.  Members overflow on their way out; ``start`` and
-    ``advance`` ignore it, so callers need no ``np.errstate``.
+    ``samples``.  Only the steps that cover a grid point are sampled: each
+    sampled member keeps the time of its next grid point.
+
+    With ``frame(T, R)``, the ramp λ at integration times T[n] and rates
+    R[n], a scalar member that ``start`` gave ``bounds = (gain, lo, hi)`` also
+    stops as ``escaped`` on an accepted step that leaves x - gain·λ outside
+    (lo, hi).  The caller keeps an edge at -inf or inf unless the flow beyond
+    it is proven to diverge (see ``analysis.run_pullbacks``); each member is
+    checked on its own, so the test does not tie it to its batch.  Members
+    overflow on their way out; ``start`` and ``advance`` ignore it, so
+    callers need no ``np.errstate``.
     """
 
     def __init__(self, rhs, dim: int, rtol: float, atol: float,
                  escape_norm: float = math.inf, min_step: float = 0.0,
-                 grid=None, record: bool = False):
+                 grid=None, record: bool = False, frame=None):
         self.rhs = rhs
         self.dim = dim
         self.rtol = rtol
@@ -294,9 +305,14 @@ class Batch:
         self.rate = np.empty(0)
         self.slot = np.empty(0, dtype=np.intp)
         self.pos = np.empty(0, dtype=np.intp)
+        self.next_t = np.empty(0)
+        self.bounds = np.empty((0, 3))
+        self.frame = frame
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
+        # grid times by index, then inf: a sampled member's next grid time at pos
+        self._next_of = None if grid is None else np.append(self.grid, math.inf)
         self.record = record
         # sample pool: samples by slot, and the free slots
         self._curve = np.empty((0, 0 if grid is None else len(self.grid), dim))
@@ -309,12 +325,14 @@ class Batch:
         return len(self.ids)
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf) -> list[int]:
+    def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf,
+              bounds=(0.0, -math.inf, math.inf)) -> list[int]:
         """Start members ``ids`` at (t0, x0) toward t1 (all t1 != t0).
 
         A member that ends on the last grid point must start on the first;
-        it is then sampled.  Returns the ids that stopped at once, their
-        norm already at or above ``escape_norm``.
+        it is then sampled.  ``bounds`` rows (gain, lo, hi) are the members'
+        exit boxes when the batch has a ``frame``.  Returns the ids that
+        stopped at once, their norm already at or above ``escape_norm``.
         """
         ids = np.asarray(ids, dtype=np.intp).reshape(-1)
         n = len(ids)
@@ -323,6 +341,7 @@ class Batch:
             np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
             for v in (t0, t1, rate, max_step)
         )
+        bounds = np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3))
         direction = np.where(t1 > t0, 1.0, -1.0)
         grid = self.grid
         sampled = np.zeros(n, dtype=bool) if grid is None else t1 == grid[-1]
@@ -338,16 +357,18 @@ class Batch:
                 self.final[int(ids[j])] = (ESCAPED, float(t0[j]), x0[j].copy())
                 stopped.append(int(ids[j]))
             keep = ~out
-            ids, x0, t0, t1, rate, max_step, direction, sampled = (
-                v[keep] for v in (ids, x0, t0, t1, rate, max_step, direction, sampled)
+            ids, x0, t0, t1, rate, max_step, direction, sampled, bounds = (
+                v[keep] for v in (ids, x0, t0, t1, rate, max_step, direction, sampled, bounds)
             )
         if not len(ids):
             return stopped
         f0, h_abs = self._initial_step(x0, t0, t1, rate, max_step, direction)
         slot = np.full(len(ids), -1, dtype=np.intp)
         slot[sampled] = self._slots(np.count_nonzero(sampled))
+        next_t = np.where(sampled, t0, math.inf)  # a sampled member starts on grid[0]
         new = (ids, t0, x0, f0, h_abs, np.zeros(len(ids), dtype=bool), t1,
-               direction, max_step, rate, slot, np.zeros(len(ids), dtype=np.intp))
+               direction, max_step, rate, slot, np.zeros(len(ids), dtype=np.intp),
+               next_t, bounds)
         for name, values in zip(_MEMBER_ARRAYS, new):
             setattr(self, name, np.concatenate((getattr(self, name), values)))
         return stopped
@@ -423,13 +444,19 @@ class Batch:
         if self.record:
             for j in np.flatnonzero(ok):
                 self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
-        sampled = (self.slot >= 0) & ok
+        # a step covers a grid point when it passes the next one or ends the leg
+        sampled = ok & (self.slot >= 0) & ((t_new > self.next_t) | (t_new == self.t_bound))
         if np.count_nonzero(sampled):
             self._sample(np.flatnonzero(sampled), t, y, h, t_new, K)
 
-        # An accepted step stops its member on an escape, else on a step
-        # underflow short of t_bound, else when it ends at t_bound exactly.
+        # An accepted step stops its member on an escape (past the escape
+        # norm, or out of its exit box), else on a step underflow short of
+        # t_bound, else when it ends at t_bound exactly.
         esc = ~(_norm2(y_new) < self.escape_norm)
+        if self.frame is not None:
+            gain, lo, hi = self.bounds.T
+            u = y_new[:, 0] - gain * self.frame(t_new, R)
+            esc |= (u < lo) | (u > hi)
         under = (self.h_abs < self.min_step) & (np.abs(self.t_bound - t_new) > self.min_step)
         stopped = ok & (esc | under | (t_new == self.t_bound))
         if not np.count_nonzero(stopped):
@@ -451,6 +478,7 @@ class Batch:
         jm, sm = j[m], slot[m]
         self._curve[sm, p] = _dense(q[m], t[jm], h[jm], y[jm], self.grid[p])
         self.pos[j] = end
+        self.next_t[j] = self._next_of[end]
 
     def _stop(self, mask: np.ndarray, status) -> list[int]:
         status = np.broadcast_to(np.asarray(status), mask.shape)

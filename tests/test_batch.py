@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from tiplab.analysis import (
+    _exit_bounds,
     _sense_rhs,
     estimate_pullback,
     forward_attraction_test,
     integrator_config,
     run_pullbacks,
 )
-from tiplab.integrate import Batch, integrate
+from tiplab.integrate import Batch, integrate, integrate_members
 from tiplab import tipping
 from tiplab.models import make_model
 from tiplab.tipping import (
@@ -173,6 +174,69 @@ def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense
         ((alone, alone_traj),) = run(x0s[i:i + 1])
         assert np.array_equal(alone, alone_traj.eval(grid))
         assert np.array_equal(alone, samples)
+
+
+def test_sampling_skips_steps_that_cover_no_grid_point(monkeypatch):
+    # a step cap of 0.005 on a grid spaced 0.02 leaves most steps with no
+    # grid point; only the others are sampled, and what they write is the
+    # dense output on the grid
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    grid = np.linspace(0.0, 4.0, 201)
+    calls = []
+    sample = Batch._sample
+
+    def checked(batch, j, *args):
+        before = batch.pos[j].copy()
+        sample(batch, j, *args)
+        assert np.all(batch.pos[j] > before)
+        calls.append(len(j))
+
+    monkeypatch.setattr(Batch, "_sample", checked)
+    x0 = np.array([[0.9], [0.6]])
+    batch = Batch(model.rhs, 1, 1e-9, 1e-9, grid=grid, record=True)
+    batch.start([0, 1], x0, 0.0, 4.0, model.rate, 0.005)
+    while batch.n_active:
+        batch.advance()
+    steps = [len(batch.trajectory(i).times) - 1 for i in (0, 1)]
+    assert len(calls) < min(steps) and min(steps) >= 800
+    cfg = integrator_config(model, {"max_step": 0.005})
+    for i in (0, 1):
+        alone = integrate_members(model.rhs, 1, x0[i:i + 1], 0.0, 4.0, cfg, model.rate,
+                                  record=True).trajectory(0)
+        assert np.array_equal(batch.samples[i], alone.eval(grid))
+
+
+def test_exit_box_stops_only_its_own_member():
+    # moving-sn members past the box's lower edge at r = 0.2 > r* diverge:
+    # with their exit box they stop on the first accepted step, far below the
+    # escape norm; without it they crawl on to the norm.  A member at
+    # r = 0.03 on the attractor completes.  Each ends as it does alone.
+    model = make_model("moving-sn", mu=0.5)
+    rates = np.array([0.2, 0.2, 0.03])
+    bounds = np.array([_exit_bounds(model.with_rate(r), "attracting") for r in rates])
+    bounds[1] = (0.0, -np.inf, np.inf)
+    assert bounds[0, 1] == -1.75 and bounds[2, 1] == -1.75
+    x0 = np.array([[-1.8], [-1.8], [0.5]])
+
+    def run(ids):
+        batch = Batch(model.rhs, 1, 1e-9, 1e-9, escape_norm=1e6, frame=model.ramp.value)
+        batch.start(ids, x0[ids], 0.0, 4.0, rates[ids], 0.1, bounds=bounds[ids])
+        advances = 0
+        while batch.n_active:
+            batch.advance()
+            advances += 1
+        return batch.final, advances
+
+    together, _ = run(np.arange(3))
+    assert [together[i][0] for i in range(3)] == ["escaped", "escaped", "completed"]
+    assert abs(together[0][2][0]) < 2.0 and abs(together[1][2][0]) >= 1e6
+    for i in range(3):
+        alone, advances = run(np.array([i]))
+        status, t, y = alone[i]
+        assert (status, t, y.tobytes()) == (together[i][0], together[i][1],
+                                            together[i][2].tobytes())
+        if i == 0:
+            assert advances <= 2  # the first accepted step
 
 
 @pytest.mark.parametrize("t0", [0.5, -1.0])

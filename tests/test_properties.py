@@ -9,8 +9,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from tiplab.analysis import qse_continuation  # noqa: E402
-from tiplab.integrate import ESCAPED, IntegratorConfig, integrate  # noqa: E402
+from tiplab.analysis import _exit_bounds, _sense_rhs, qse_continuation  # noqa: E402
+from tiplab.integrate import (  # noqa: E402
+    ESCAPED,
+    IntegratorConfig,
+    VectorFieldHandle,
+    integrate,
+)
 from tiplab.models import make_model, oracle_curve  # noqa: E402
 from tiplab.tipping import _classify, find_critical_rate  # noqa: E402
 
@@ -114,6 +119,49 @@ _QSE_LABELS = {
     "moving-pitchfork": {"qse_stable+": "stable", "qse_stable-": "stable",
                          "qse_unstable": "saddle"},
 }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.1, 2.0),
+    frac=st.floats(0.0, 1.0),
+    t0=st.floats(-10.0, 10.0),
+    sense=st.sampled_from(["attracting", "repelling"]),
+)
+def test_moving_sn_exit_edge_leads_to_a_blowup(mu, frac, t0, sense):
+    # A pullback member stops once its co-moving y passes an exit edge: the
+    # lower edge of the box, -a with a = 2 mu + 1, or the upper edge +a in
+    # reversed time.  There |y| >= a and c = mu^2/4 - r <= a^2/16, so y moves
+    # away at a speed of at least (15/16) y^2 and blows up within 16 / (15 a)
+    # time units.  A lone integration from just past the edge must escape.
+    r = frac * 0.75 * mu * mu
+    m = make_model("moving-sn", mu=mu, r=r)
+    a = 2.0 * mu + 1.0
+    gain, lo, hi = _exit_bounds(m, sense)
+    if sense == "attracting":
+        assert (lo, hi) == (-a + mu / 2.0, math.inf)
+        u0, s0 = lo - 1e-9, t0
+    else:  # integration time is minus model time
+        assert (lo, hi) == (-math.inf, a + mu / 2.0)
+        u0, s0 = hi + 1e-9, -t0
+    rhs = _sense_rhs(m, sense)
+    fld = VectorFieldHandle(1, lambda x, t, p: rhs(x, t, r))
+    x0 = u0 + gain * m.ramp.value(t0)
+    traj = integrate(fld, [x0], s0, s0 + 2.0, IntegratorConfig(escape_norm=m.escape_norm))
+    assert traj.status == ESCAPED
+    assert traj.escape_bracket[0] - s0 <= 16.0 / (15.0 * a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.5, 1.5), frac=st.floats(-3.0, 3.0), r=st.floats(1e-3, 10.0))
+def test_attracting_frames_have_no_exit_edge(mu, frac, r):
+    # moving-cubic (|r| <= 3 r*) and drift point into the co-moving box on
+    # both sides; the planar pitchfork and the frameless bounded ramp get no
+    # edge at all
+    rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
+    for m in (make_model("moving-cubic", mu=mu, r=frac * rstar), make_model("drift", r=r),
+              make_model("moving-pitchfork", mu=mu, r=r), make_model("bounded-ramp-sn", r=r)):
+        assert _exit_bounds(m, "attracting")[1:] == (-math.inf, math.inf)
 
 
 def _assert_branches_are_frozen_equilibria(m, s_grid):

@@ -2,9 +2,10 @@
 each critical-rate bracket reports, for non-finite times, ranges and
 anchors, for finite-horizon tests given a bad horizon, for curve dedupe on
 large curves, for the step count and convergence of deep pullbacks, for an
-import and a core free of scipy, for every exported name, for the
-tipping predicate's known wrong answers, and for the report of a failing
-property test."""
+import and a core free of scipy, for every exported name, for the outputs
+that stopping a diverging pullback at the co-moving box must leave as they
+were, for the tipping predicate's known wrong answers, and for the report of
+a failing property test."""
 import ast
 import importlib
 import inspect
@@ -15,14 +16,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tiplab import tipping
 from tiplab.analysis import (
+    PullbackJob,
     endpoint_tracking_test,
     estimate_pullback,
     forward_attraction_test,
     integrator_config,
+    run_pullbacks,
 )
 from tiplab.cli import main
 from tiplab.integrate import ESCAPED, Batch, VectorFieldHandle, integrate
@@ -231,6 +235,115 @@ def test_core_runs_with_scipy_blocked():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# The CSV of `tiplab sweep` on moving-sn (mu = 0.5) at 48 rates across r* =
+# 0.0625 (the benchmark's seed-0 sweep); the rates are read back from its first
+# column, whose 17 significant digits give each float exactly.
+SWEEP_CSV = """r,n_attractors,escaped,tipped
+0.010297456536151979,1,0,0
+0.014259812498972116,1,0,0
+0.015307245196574198,1,0,0
+0.01703439580280032,1,0,0
+0.020379661219427261,1,0,0
+0.021707210782359307,1,0,0
+0.025269870669562551,1,0,0
+0.027050938837375582,1,0,0
+0.028389439145206412,1,0,0
+0.031335312996665553,1,0,0
+0.035032136969982967,1,0,0
+0.037128497398137179,1,0,0
+0.03914671798125046,1,0,0
+0.042038892144010014,1,0,0
+0.043772369652719856,1,0,0
+0.044504289582416541,1,0,0
+0.047391268037170316,1,0,0
+0.049474141082536678,1,0,0
+0.05299009986453293,1,0,0
+0.0541056753619105,1,0,0
+0.056373160240455765,1,0,0
+0.060383254758397939,1,0,0
+0.060491139654493771,1,0,0
+0.064841078327821308,0,1,1
+0.065722005606359976,0,1,1
+0.068732844527335829,0,1,1
+0.070323724772967097,0,1,1
+0.073016238817687859,0,1,1
+0.075387770257617656,0,1,1
+0.078548640705776648,0,1,1
+0.080346844589600758,0,1,1
+0.081724746846076765,0,1,1
+0.085384549759557768,0,1,1
+0.086203458763805127,0,1,1
+0.089194633409802326,0,1,1
+0.091834065331529671,0,1,1
+0.093633346699881631,0,1,1
+0.09672014444148494,0,1,1
+0.098921588136671651,0,1,1
+0.099413066852582194,0,1,1
+0.10323688222434944,0,1,1
+0.10480466963717995,0,1,1
+0.10792431816232208,0,1,1
+0.11026744071546103,0,1,1
+0.11184295148349596,0,1,1
+0.11490328558791001,0,1,1
+0.11721601038696396,0,1,1
+0.1198047952384793,0,1,1
+"""
+
+
+class TestComovingExit:
+    """A tipped moving-sn member now stops once it leaves the co-moving box
+    downward, where it provably diverges, not at the escape norm.  These are
+    the outputs that the run to the escape norm gave, bit for bit."""
+
+    # find_critical_rate(moving-sn(mu), (0.1 r*, 3 r*), resolution 1e-4):
+    # (lower, upper, the bracket's probes, the report's probes, at most this
+    # many Batch.advance calls; the run to the escape norm made 1065, 1038, 1457)
+    BRACKETS = {
+        0.25: (0.0155806951986069, 0.015635686705734005, 4, 65, 400),
+        0.5: (0.06248775531580891, 0.06254274682293602, 6, 67, 400),
+        1.0: (0.2499510212632357, 0.25000601277036283, 8, 69, 550),
+    }
+
+    @pytest.mark.parametrize("mu", sorted(BRACKETS))
+    def test_moving_sn_brackets(self, monkeypatch, mu):
+        calls = []
+        advance = Batch.advance
+        monkeypatch.setattr(Batch, "advance", lambda b: calls.append(1) or advance(b))
+        rstar = mu * mu / 4.0
+        report = find_critical_rate(make_model("moving-sn", mu=mu),
+                                    r_range=(0.1 * rstar, 3.0 * rstar), resolution=1e-4)
+        (b,) = report.brackets
+        lower, upper, probes, total, max_calls = self.BRACKETS[mu]
+        assert (b.lower, b.upper, b.probes, report.probes) == (lower, upper, probes, total)
+        assert b.classification == "saddle-node" and not report.flagged
+        assert len(calls) <= max_calls
+
+    def test_sweep_csv(self, capsys):
+        rates = [float(line.split(",")[0]) for line in SWEEP_CSV.splitlines()[1:]]
+        code = main(["sweep", "--model", "moving-sn", "--set", "mu=0.5", "--threads", "2",
+                     "--format", "csv", "--rates", ",".join(map(repr, rates))])
+        assert code == 0
+        assert capsys.readouterr().out == SWEEP_CSV
+
+    def test_tipped_and_untipped_rates_share_a_batch(self):
+        # members that stop at the box and members that converge, in one
+        # batch: each job's estimate equals its lone run bitwise
+        model = make_model("moving-sn", mu=0.5)
+        rates = [0.2, 0.03, 0.07, 0.0625, 0.05, 0.0651]
+        jobs = [PullbackJob(model.with_rate(r), np.array([0.5]), "attracting", (0.0, 4.0), 1e-8)
+                for r in rates]
+        run_pullbacks(jobs, integrator_config(model))
+        statuses = set()
+        for r, job in zip(rates, jobs):
+            alone = estimate_pullback(model, r=r)
+            est = job.estimate
+            assert (est.status, est.start_times, est.convergence_gaps) == (
+                alone.status, alone.start_times, alone.convergence_gaps)
+            assert est.states.tobytes() == alone.states.tobytes()
+            statuses.add(est.status)
+        assert {"converged", "escaped_during_pullback"} <= statuses
 
 
 class TestKnownWrongVerdicts:
