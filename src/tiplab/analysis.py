@@ -3,7 +3,8 @@ attraction diagnostics.
 
 Pullback curves are estimated by pushing the start time geometrically far
 into the past and integrating forward onto a fixed observation window; the
-repelling sense reuses the same machinery on the time-reversed system.
+repelling sense reuses the same machinery on the model's own field, starting
+far in the future and stepping backward in time.
 Forward-attraction and end-point-tracking are finite-horizon tests that
 emit the full distance trace alongside a three-way verdict.
 """
@@ -110,28 +111,19 @@ def _noise_floor(cfg: IntegratorConfig, size: float) -> float:
     return 100.0 * (cfg.abs_tol + cfg.rel_tol * size)
 
 
-def _sense_rhs(model: ModelSpec, sense: str):
-    """The batch rhs of a pullback in integration time: the time-reversed
-    field for the repelling sense."""
-    if sense == "repelling":
-        return lambda X, T, R, f=model.rhs: -f(X, -T, R)
-    return model.rhs
-
-
-def _window_leg(model: ModelSpec, sense: str, wa: float, wb: float, x0: np.ndarray,
+def _window_leg(model: ModelSpec, wa: float, wb: float, x0: np.ndarray,
                 cfg: IntegratorConfig) -> Callable:
     """An evaluator of the window leg from (wa, x0) to wb, integrated on its
     first call as a lone member with ``run_pullbacks``' settings."""
-    leg = functools.cache(lambda: integrate_members(
-        _sense_rhs(model, sense), model.dimension, x0[None, :], wa, wb, cfg, model.rate,
-        record=True).trajectory(0))
-    return lambda t: leg().eval(t if sense == "attracting" else -np.asarray(t))
+    leg = functools.cache(lambda: integrate(model.field, x0, wa, wb, cfg))
+    return lambda t: leg().eval(t)
 
 
 class PullbackJob:
     """One (rate, anchor) pullback estimate, built from lookback doublings.
 
-    Doubling k starts at lookback ``2**k`` and integrates an
+    Doubling k starts ``2**k`` before the window start (after it, in the
+    repelling sense, whose legs step backward in time) and integrates an
     approach leg to the window start, then the window leg.  Each doubling's
     outcome (its window-leg curve on ``grid``, or None when either leg
     escaped) is kept once integrated, so ``relax`` to a looser tolerance or
@@ -162,7 +154,8 @@ class PullbackJob:
             raise ValueError(f"anchor must be finite, got {anchor}")
         if not max_lookback >= 1:  # the first doubling looks back 2**0
             raise ValueError(f"max_lookback must be at least 1, got {max_lookback}")
-        self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (-t_b, -t_a)
+        # the window start and end, in the order the sense steps time
+        self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (t_b, t_a)
         self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
         self.outcomes: dict[int, np.ndarray | None] = {}
         self._window_starts: dict[int, np.ndarray] = {}
@@ -175,11 +168,10 @@ class PullbackJob:
     def pending(self) -> list[int]:
         return [k for k in self.doublings() if k not in self.outcomes]
 
-    def start_state(self, k: int) -> tuple[float, np.ndarray]:
-        """Start time (in integration time) and state of doubling k."""
-        s_k = self.wa - 2.0**k
-        t_model = s_k if self.sense == "attracting" else -s_k
-        return s_k, self.model.anchor_state(self.anchor, t_model)
+    def start_time(self, k: int) -> float:
+        """Doubling k's start time, 2**k before the window start as the sense
+        steps time."""
+        return self.wa - 2.0**k if self.sense == "attracting" else self.wa + 2.0**k
 
     def record(self, k: int, curve: np.ndarray | None, x_wa: np.ndarray | None) -> None:
         """Keep doubling k's window-leg curve and its window-start state."""
@@ -197,8 +189,7 @@ class PullbackJob:
         status = NOT_CONVERGED
         prev = None  # the last doubling with a curve
         for k in self.doublings():
-            s_k = self.wa - 2.0**k
-            start_times.append(s_k if self.sense == "attracting" else -s_k)
+            start_times.append(self.start_time(k))
             if k not in self.outcomes:
                 return False
             if self.outcomes[k] is None:
@@ -224,20 +215,16 @@ class PullbackJob:
             prev = k
 
         curve = np.empty((0, self.model.dimension)) if prev is None else self.outcomes[prev]
-        if self.sense == "attracting":
-            times, states = self.grid, curve
-        else:
-            times, states = -self.grid[::-1], curve[::-1]
+        step = 1 if self.sense == "attracting" else -1  # times ascend
         evaluator = None
         if status == CONVERGED:
-            evaluator = _window_leg(self.model, self.sense, self.wa, self.wb,
-                                    self._window_starts[prev], cfg)
+            evaluator = _window_leg(self.model, self.wa, self.wb, self._window_starts[prev], cfg)
         frame = "comoving" if self.model.comoving is not None else "ramp"
         note = f"{frame} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
             window=tuple(self.window),
-            times=np.asarray(times),
-            states=np.asarray(states),
+            times=self.grid[::step],
+            states=curve[::step],
             anchor=self.anchor,
             anchor_note=note,
             start_times=start_times,
@@ -252,8 +239,9 @@ class PullbackJob:
 def _exit_bounds(model: ModelSpec, sense: str) -> tuple[float, float, float]:
     """A pullback member's exit box (gain, lo, hi) in x - gain·λ(rt): the
     edges of ``comoving.box``, shifted by the co-moving offset, on the sides
-    where the co-moving field g, in the sense's integration time, points
-    away from the box; -inf and inf elsewhere.
+    where the co-moving flow points away from the box as the sense steps
+    time: g forward for the attracting sense, -g backward for the repelling
+    one; -inf and inf elsewhere.
 
     Only a scalar model whose closed-form co-moving equilibria all lie
     strictly inside the box gets finite edges.  Then g keeps one sign beyond
@@ -309,21 +297,19 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     ids_of = {}
     for i, (job, _) in enumerate(members):
         ids_of.setdefault(id(job), []).append(i)
-    starts = [job.start_state(k) for job, k in members]
+    t0 = [job.start_time(k) for job, k in members]
     rates = np.array([job.model.rate for job, _ in members])
     models = {job.model.rate: job.model for job in jobs}
     edges = {r: _exit_bounds(m, sense) for r, m in models.items()}
     bounds = np.array([edges[r] for r in rates.tolist()])
-    frame = None
-    if np.isfinite(bounds[:, 1:]).any():
-        ramp = model.comoving.ramp  # the family's kind; each member brings its rate
-        frame = ramp.value if sense == "attracting" else (lambda T, R: ramp.value(-T, R))
-    batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
+    # the family's ramp kind; each member brings its rate
+    frame = model.comoving.ramp.value if np.isfinite(bounds[:, 1:]).any() else None
+    batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
                   cfg.escape_norm, cfg.min_step, grid=first.grid, frame=frame)
     stopped = batch.start(
         np.arange(len(members)),
-        np.array([x for _, x in starts]),
-        [s for s, _ in starts],
+        np.array([job.model.anchor_state(job.anchor, t) for (job, _), t in zip(members, t0)]),
+        t0,
         wa,
         rates,
         bounds=bounds,
@@ -371,14 +357,15 @@ def estimate_pullback(
     max_lookback: float = MAX_LOOKBACK,
     cfg: IntegratorConfig | None = None,
 ) -> PullbackEstimate:
-    """Estimate a pullback attractor (or repeller, via time reversal).
+    """Estimate a pullback attractor (or, with sense "repelling", a pullback
+    repeller, stepped backward in time from the future).
 
-    Start times recede as s_k = t_a - 2^k, back to at most ``max_lookback``,
-    until two successive gaps between window-restricted curves are below
-    ``tol`` in sup norm (scaled by the curve magnitude when it exceeds unity)
-    and the last is no larger than the one before or within the integrator's
-    error noise floor.  The doublings are integrated together as members of
-    one batch.
+    Start times move away as s_k = t_a - 2^k (s_k = t_b + 2^k for a repeller),
+    at most ``max_lookback`` away, until two successive gaps between
+    window-restricted curves are below ``tol`` in sup norm (scaled by the
+    curve magnitude when it exceeds unity) and the last is no larger than the
+    one before or within the integrator's error noise floor.  The doublings
+    are integrated together as members of one batch.
     """
     if r is not None:
         model = model.with_rate(r)

@@ -2,16 +2,17 @@
 
 One in-house Dormand–Prince 5(4) stepper advances N independent members at
 once.  Each member has its own time, step size, step cap, end time and
-status, and every stage sum is added in stage order (no BLAS products), so
-a member's result does not depend on how many other members share its
-batch or which they are, a batch of one included.  The tableau, the step-size
-controller and the initial-step heuristic are those of Dormand & Prince,
-*J. Comput. Appl. Math.* 6 (1980), and Hairer, Nørsett & Wanner, *Solving
-ODEs I*, §II.4–II.6; the quartic dense output is Shampine's, *Math. Comp.* 46
-(1986).  Every step runs one code path: members that are retrying, clipped
-at their end time or rejected are told apart by masks, not by branches.  A
-batch records the steps of all its members or of none, samples those that
-cross its one time grid, and ignores their overflow on the way out.  A member
+status, and steps forward or backward in time; every stage sum is added in
+stage order (no BLAS products), so a member's result does not depend on how
+many other members share its batch or which they are, a batch of one
+included.  The tableau, the step-size controller and the initial-step
+heuristic are those of Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980),
+and Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6; the quartic
+dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
+code path: members that are retrying, clipped at their end time or rejected
+are told apart by masks, not by branches.  A batch records the steps of all
+its members or of none, samples those that cross its one time grid, which
+may run either way, and ignores their overflow on the way out.  A member
 that starts past the escape norm stops in ``Batch.start``, before any step.
 Given a co-moving frame, a scalar member also stops as escaped when it leaves
 its own exit box, which pullbacks set where the flow is proven to diverge.
@@ -20,7 +21,8 @@ its own exit box, which pullbacks set where the flow is proven to diverge.
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
 state norm reaches an escape threshold (then brackets the blow-up time), and
 with ``step_underflow`` when step control drives the step below ``min_step``
-without an escape.  Pullback legs and forward probes are sampled instead.
+without an escape.  Pullback legs (backward in time for a repeller) and
+forward probes are sampled instead.
 """
 from __future__ import annotations
 
@@ -238,11 +240,12 @@ class Trajectory:
         if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
             raise ValueError(f"time out of sampled range [{lo}, {hi}]")
         n = len(self.coeffs)
-        knots = self.times if self.direction > 0 else self.times[::-1]
-        idx = np.clip(np.searchsorted(knots, t_arr, side="right") - 1, 0, n - 1)
-        if self.direction < 0:
-            idx = n - 1 - idx
-        out = self._poly(idx, t_arr)
+        # at a knot, the step that starts there in integration order
+        if self.direction > 0:
+            idx = np.searchsorted(self.times, t_arr, side="right") - 1
+        else:
+            idx = n - np.searchsorted(self.times[::-1], t_arr, side="left")
+        out = self._poly(np.clip(idx, 0, n - 1), t_arr)
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -266,19 +269,20 @@ class Batch:
     step underflows: below ten units in the last place of t on a retry, or
     below ``min_step`` away from the end time (``step_underflow``).  With
     ``record`` every member keeps every accepted step for ``trajectory``.
-    With an ascending ``grid``, a member that runs from ``grid[0]`` to
-    ``grid[-1]`` gets, from each accepted step, the dense output at the grid
-    points in [t, t_new), and from the step that reaches the end time at all
-    points left: the step and arithmetic ``Trajectory.eval`` would use.  It
-    holds a pool row while active and, if it completes, leaves its curve in
-    ``samples``.  Only the steps that cover a grid point are sampled: each
-    sampled member keeps the time of its next grid point.
+    On a ``grid`` that runs forward or backward, a member that runs from
+    ``grid[0]`` to ``grid[-1]`` gets, from each accepted step from t to
+    t_new, the dense output at the grid points from t up to, not at, t_new,
+    and from the step that reaches the end time at all points left: the
+    step and arithmetic ``Trajectory.eval`` would use.  It holds a pool row
+    while active and, if it completes, leaves its curve in ``samples``.
+    Only the steps that cover a grid point are sampled: each sampled member
+    keeps the time of its next grid point.
 
-    With ``frame(T, R)``, the ramp λ at integration times T[n] and rates
-    R[n], a scalar member that ``start`` gave ``bounds = (gain, lo, hi)`` also
-    stops as ``escaped`` on an accepted step that leaves x - gain·λ outside
-    (lo, hi).  The caller keeps an edge at -inf or inf unless the flow beyond
-    it is proven to diverge (see ``analysis.run_pullbacks``); each member is
+    With ``frame(T, R)``, the ramp λ at times T[n] and rates R[n], a scalar
+    member that ``start`` gave ``bounds = (gain, lo, hi)`` also stops as
+    ``escaped`` on an accepted step that leaves x - gain·λ outside (lo, hi).
+    The caller keeps an edge at -inf or inf unless the flow beyond it is
+    proven to diverge (see ``analysis.run_pullbacks``); each member is
     checked on its own, so the test does not tie it to its batch.  Members
     overflow on their way out; ``start`` and ``advance`` ignore it, so
     callers need no ``np.errstate``.
@@ -311,8 +315,13 @@ class Batch:
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        # grid times by index, then inf: a sampled member's next grid time at pos
-        self._next_of = None if grid is None else np.append(self.grid, math.inf)
+        # a grid that runs backward is searched by -t, on its ascending -grid
+        self._back = grid is not None and self.grid[-1] < self.grid[0]
+        self._keys = -self.grid if self._back else self.grid
+        # grid times by index, then the infinity past the grid's end: a
+        # sampled member's next grid time at pos
+        self._next_of = (None if grid is None
+                         else np.append(self.grid, -math.inf if self._back else math.inf))
         self.record = record
         # sample pool: samples by slot, and the free slots
         self._curve = np.empty((0, 0 if grid is None else len(self.grid), dim))
@@ -445,7 +454,8 @@ class Batch:
             for j in np.flatnonzero(ok):
                 self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
         # a step covers a grid point when it passes the next one or ends the leg
-        sampled = ok & (self.slot >= 0) & ((t_new > self.next_t) | (t_new == self.t_bound))
+        passed = (t_new < self.next_t) if self._back else (t_new > self.next_t)
+        sampled = ok & (self.slot >= 0) & (passed | (t_new == self.t_bound))
         if np.count_nonzero(sampled):
             self._sample(np.flatnonzero(sampled), t, y, h, t_new, K)
 
@@ -469,7 +479,7 @@ class Batch:
         active members) onto the sample grid."""
         slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
         end = np.where(t_new == self.t_bound[j], len(self.grid),
-                       np.searchsorted(self.grid, t_new))
+                       np.searchsorted(self._keys, -t_new if self._back else t_new))
         n = end - pos
         # row m[i] of j takes grid point p[i]: its points pos..end-1 in turn
         m = np.repeat(np.arange(len(j)), n)

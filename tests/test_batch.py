@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from tiplab.analysis import (
+    PullbackJob,
     _exit_bounds,
-    _sense_rhs,
     estimate_pullback,
     forward_attraction_test,
     integrator_config,
@@ -151,17 +151,19 @@ def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense
     # a member sampled while it steps reads, bitwise, what its recorded
     # trajectory's dense output gives on the batch's grid: batched and alone.
     # A step cap of 0.35 spans about 17 points of a 201-point grid over
-    # (0, 4), so one step writes several points.
+    # (0, 4), so one step writes several points.  The repelling sense steps
+    # backward in time, on a grid that runs from 0 down to -4.
     model = make_model(name, **params)
     cfg = integrator_config(model, {"max_step": max_step})
     x0s = starts[sense]
-    grid = np.linspace(0.0, 4.0, 201)
+    t1 = 4.0 if sense == "attracting" else -4.0
+    grid = np.linspace(0.0, t1, 201)
 
     def run(x0s):
-        batch = Batch(_sense_rhs(model, sense), model.dimension, cfg.rel_tol, cfg.abs_tol,
+        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
                       cfg.escape_norm, cfg.min_step, grid=grid, record=True)
         ids = np.arange(len(x0s))
-        batch.start(ids, np.array(x0s, dtype=float), 0.0, 4.0, model.rate, cfg.max_step)
+        batch.start(ids, np.array(x0s, dtype=float), 0.0, t1, model.rate, cfg.max_step)
         while batch.n_active:
             batch.advance()
         assert all(batch.final[i][0] == "completed" for i in ids)
@@ -300,6 +302,23 @@ def test_estimate_eval_reproduces_states(name, params, sense):
     est = estimate_pullback(make_model(name, **params), sense=sense)
     assert est.status == "converged"
     assert np.array_equal(est.eval(est.times), est.states)
+
+
+@pytest.mark.parametrize("name,params,rates", [
+    ("moving-sn", {"mu": 0.5}, [0.01, 0.03, 0.05, 0.0625, 0.07]),
+    ("moving-cubic", {"mu": 1.0}, [-0.5, 0.1, 0.2, 0.5]),
+])
+def test_batched_repelling_jobs_equal_lone_estimates(name, params, rates):
+    # repelling legs step backward in time; several rates in one batch each
+    # give, bitwise, what their lone estimate gives, eval included
+    model = make_model(name, **params)
+    jobs = [PullbackJob(model.with_rate(r), np.array([0.0]), "repelling", (0.0, 4.0), 1e-8)
+            for r in rates]
+    run_pullbacks(jobs, integrator_config(model))
+    for r, job in zip(rates, jobs):
+        alone = estimate_pullback(model, r=r, anchor=[0.0], sense="repelling")
+        assert_same_estimate(job.estimate, alone)
+    assert "converged" in {job.estimate.status for job in jobs}
 
 
 @pytest.mark.parametrize("name", ["drift", "moving-sn", "moving-cubic",

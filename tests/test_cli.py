@@ -1,9 +1,13 @@
+import contextlib
 import json
 import re
 
+import numpy as np
 import pytest
 
+from tiplab.analysis import estimate_pullback
 from tiplab.cli import main
+from tiplab.models import make_model
 
 
 def run(capsys, *argv):
@@ -87,6 +91,29 @@ class TestPullback:
         )
         assert code == 0
         assert out.splitlines()[0] == "t,x0"
+
+    @pytest.mark.parametrize("name", ["drift", "moving-sn", "moving-cubic",
+                                      "moving-pitchfork", "bounded-ramp-sn"])
+    def test_repelling_time_labels_ascend_with_an_unsigned_zero(self, capsys, name):
+        # a repeller's rows ascend in time like an attractor's; t = 0 reads
+        # "0", not "-0", and each row holds the estimate's states.  drift's
+        # deepest start times, up to 4099, overflow its ramp exp(t / 2): those
+        # members stop at their start, and the estimate converges before them.
+        model = make_model(name)
+        anchor = [0.0] * model.dimension
+        with (pytest.warns(RuntimeWarning, match="overflow") if name == "drift"
+              else contextlib.nullcontext()):
+            code, out, _ = run(capsys, "pullback", "--model", name, "--sense", "repelling",
+                               "--window=-1,3", "--anchor", ",".join(map(str, anchor)),
+                               "--format", "csv")
+            est = estimate_pullback(model, window=(-1.0, 3.0), anchor=anchor,
+                                    sense="repelling")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        labels = [row[0] for row in rows]
+        assert "0" in labels and "-0" not in labels
+        assert [float(t) for t in labels] == est.times.tolist()
+        assert np.array_equal([[float(x) for x in row[1:]] for row in rows], est.states)
 
 
 class TestQse:
@@ -212,6 +239,7 @@ class TestInvalidInput:
         (["simulate", "--model", "drift"], {"integrator": {"abs_tol": 0}}),
         (["simulate", "--model", "drift"], {"integrator": {"rtol": 1e-3}}),
         (["simulate", "--model", "drift"], {"integrator": {"max_step": "big"}}),
+        (["simulate", "--model", "moving-sn"], {"integrator": {"max_step": True}}),
         (["pullback", "--model", "drift"], {"window": [0.0, 1.0, 2.0]}),
         (["simulate", "--model", "moving-pitchfork"], {"x0": [0.5]}),
         (["simulate", "--model", "drift"], {"t0": [1.0]}),
@@ -241,8 +269,8 @@ class TestInvalidInput:
         (["simulate", "--model", "drift", "--samples", "0"], None),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
-            "integrator-type", "config-window-length", "config-x0-length", "config-t0",
-            "t1-infinite", "s-grid-count-infinite", "rates-nan", "resolution", "tol",
+            "integrator-type", "integrator-bool", "config-window-length", "config-x0-length",
+            "config-t0", "t1-infinite", "s-grid-count-infinite", "rates-nan", "resolution", "tol",
             "s-grid-count-zero", "s-grid-count-negative", "s-grid-count-fraction",
             "r-range-count-fraction", "r-range-count-zero", "config-s-grid-count-zero",
             "threads-zero", "threads-negative", "rate-nan", "rate-infinite",

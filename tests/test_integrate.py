@@ -86,6 +86,14 @@ class TestIntegrate:
         vals = traj.eval(grid)
         assert np.max(np.abs(vals[:, 0] - np.exp(-grid))) < 1e-7
 
+    @pytest.mark.parametrize("t1", [6.0, -6.0])
+    def test_eval_at_knots_gives_recorded_states(self, t1):
+        # at a knot, eval takes the step that starts there in integration
+        # order, whose dense output there is the recorded state, bitwise
+        traj = integrate(make_model("moving-sn", mu=0.5, r=0.03).field, [0.3], 0.0, t1)
+        assert traj.status == COMPLETED and len(traj.times) > 50
+        assert np.array_equal(traj.eval(traj.times), traj.states)
+
     def test_eval_out_of_range_raises(self):
         traj = integrate(linear_decay(), [1.0], 0.0, 1.0)
         with pytest.raises(ValueError):

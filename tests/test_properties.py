@@ -9,11 +9,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from tiplab.analysis import _exit_bounds, _sense_rhs, qse_continuation  # noqa: E402
+from tiplab.analysis import _exit_bounds, qse_continuation  # noqa: E402
 from tiplab.integrate import (  # noqa: E402
     ESCAPED,
     IntegratorConfig,
-    VectorFieldHandle,
     integrate,
 )
 from tiplab.models import make_model, oracle_curve  # noqa: E402
@@ -130,26 +129,29 @@ _QSE_LABELS = {
 )
 def test_moving_sn_exit_edge_leads_to_a_blowup(mu, frac, t0, sense):
     # A pullback member stops once its co-moving y passes an exit edge: the
-    # lower edge of the box, -a with a = 2 mu + 1, or the upper edge +a in
-    # reversed time.  There |y| >= a and c = mu^2/4 - r <= a^2/16, so y moves
-    # away at a speed of at least (15/16) y^2 and blows up within 16 / (15 a)
-    # time units.  A lone integration from just past the edge must escape.
+    # lower edge of the box, -a with a = 2 mu + 1, or the upper edge +a
+    # backward in time, where repelling pullbacks step.  There |y| >= a and
+    # c = mu^2/4 - r <= a^2/16, so y moves away at a speed of at least
+    # (15/16) y^2 and blows up within 16 / (15 a) time units.  A lone
+    # integration from just past the edge must escape.
     r = frac * 0.75 * mu * mu
     m = make_model("moving-sn", mu=mu, r=r)
     a = 2.0 * mu + 1.0
     gain, lo, hi = _exit_bounds(m, sense)
     if sense == "attracting":
         assert (lo, hi) == (-a + mu / 2.0, math.inf)
-        u0, s0 = lo - 1e-9, t0
-    else:  # integration time is minus model time
+        u0, t1 = lo - 1e-9, t0 + 2.0
+    else:
         assert (lo, hi) == (-math.inf, a + mu / 2.0)
-        u0, s0 = hi + 1e-9, -t0
-    rhs = _sense_rhs(m, sense)
-    fld = VectorFieldHandle(1, lambda x, t, p: rhs(x, t, r))
+        u0, t1 = hi + 1e-9, t0 - 2.0
     x0 = u0 + gain * m.ramp.value(t0)
-    traj = integrate(fld, [x0], s0, s0 + 2.0, IntegratorConfig(escape_norm=m.escape_norm))
+    traj = integrate(m.field, [x0], t0, t1, IntegratorConfig(escape_norm=m.escape_norm))
     assert traj.status == ESCAPED
-    assert traj.escape_bracket[0] - s0 <= 16.0 / (15.0 * a)
+    # the bracket's end nearer t0 is where the norm crossed the escape norm
+    if sense == "attracting":
+        assert traj.escape_bracket[0] - t0 <= 16.0 / (15.0 * a)
+    else:
+        assert t0 - traj.escape_bracket[1] <= 16.0 / (15.0 * a)
 
 
 @settings(max_examples=60, deadline=None)
