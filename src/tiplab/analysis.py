@@ -2,7 +2,8 @@
 attraction diagnostics.
 
 Pullback curves are estimated by pushing the start time geometrically far
-into the past and integrating forward onto a fixed observation window; the
+into the past and integrating forward through a fixed observation window,
+each start time as one error-controlled leg sampled on the window; the
 repelling sense reuses the same machinery on the model's own field, starting
 far in the future and stepping backward in time.
 Forward-attraction and end-point-tracking are finite-horizon tests that
@@ -87,9 +88,10 @@ class PullbackEstimate:
     _evaluator: Callable | None = field(default=None, repr=False)
 
     def eval(self, t):
-        """The curve at time(s) t.  The first call integrates the last
-        doubling's window leg again, alone from its window-start state, so
-        that, by batch independence, ``eval(times)`` equals ``states``."""
+        """The curve at time(s) t.  The first call resumes the last
+        doubling alone from its state on entering the window, the controller
+        state included, so that it integrates only the window and, by batch
+        independence, ``eval(times)`` equals ``states``."""
         if self._evaluator is None:
             raise TiplabError(f"estimate with status {self.status!r} has no curve")
         return self._evaluator(t)
@@ -111,11 +113,21 @@ def _noise_floor(cfg: IntegratorConfig, size: float) -> float:
     return 100.0 * (cfg.abs_tol + cfg.rel_tol * size)
 
 
-def _window_leg(model: ModelSpec, wa: float, wb: float, x0: np.ndarray,
-                cfg: IntegratorConfig) -> Callable:
-    """An evaluator of the window leg from (wa, x0) to wb, integrated on its
-    first call as a lone member with ``run_pullbacks``' settings."""
-    leg = functools.cache(lambda: integrate(model.field, x0, wa, wb, cfg))
+def _window_leg(model: ModelSpec, wb: float, entry: tuple, cfg: IntegratorConfig) -> Callable:
+    """An evaluator of a pullback member's steps through the window, resumed
+    on its first call as a lone member from ``entry``, its (t, y, f, h_abs,
+    rejected) before its first step onto the window grid."""
+    t, y, *resume = entry
+
+    @functools.cache
+    def leg():
+        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
+                      cfg.escape_norm, cfg.min_step, record=True)
+        batch.start([0], y, t, wb, model.rate, resume=resume)
+        while batch.n_active:
+            batch.advance()
+        return batch.trajectory(0)
+
     return lambda t: leg().eval(t)
 
 
@@ -123,11 +135,12 @@ class PullbackJob:
     """One (rate, anchor) pullback estimate, built from lookback doublings.
 
     Doubling k starts ``2**k`` before the window start (after it, in the
-    repelling sense, whose legs step backward in time) and integrates an
-    approach leg to the window start, then the window leg.  Each doubling's
-    outcome (its window-leg curve on ``grid``, or None when either leg
-    escaped) is kept once integrated, so ``relax`` to a looser tolerance or
-    a longer lookback reuses it: ``resolve`` replays the sequential doubling
+    repelling sense, whose legs step backward in time) and integrates one
+    leg to the window end, sampled on ``grid`` as it crosses the window.
+    Each doubling's outcome (its curve on ``grid``, or None when it escaped)
+    and its state on entering the window are kept once integrated, so
+    ``relax`` to a looser tolerance or a longer lookback reuses them:
+    ``resolve`` replays the sequential doubling
     loop over the kept outcomes, each gap computed once, and the tolerance
     enters only its convergence test: two successive sup gaps below
     ``tol * max(1, sup|curve|)``, the last no larger than the one before
@@ -158,28 +171,27 @@ class PullbackJob:
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (t_b, t_a)
         self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
         self.outcomes: dict[int, np.ndarray | None] = {}
-        self._window_starts: dict[int, np.ndarray] = {}
+        self._entries: dict[int, tuple | None] = {}
         self._gaps: dict[int, tuple[float, float]] = {}
-        self.estimate: PullbackEstimate | None = None
-
-    def doublings(self) -> list[int]:
-        return [k for k in range(_MAX_DOUBLINGS) if 2.0**k <= self.max_lookback]
+        self.relax(tol, max_lookback)
 
     def pending(self) -> list[int]:
-        return [k for k in self.doublings() if k not in self.outcomes]
+        return [k for k in self.doublings if k not in self.outcomes]
 
     def start_time(self, k: int) -> float:
         """Doubling k's start time, 2**k before the window start as the sense
         steps time."""
         return self.wa - 2.0**k if self.sense == "attracting" else self.wa + 2.0**k
 
-    def record(self, k: int, curve: np.ndarray | None, x_wa: np.ndarray | None) -> None:
-        """Keep doubling k's window-leg curve and its window-start state."""
+    def record(self, k: int, curve: np.ndarray | None, entry: tuple | None) -> None:
+        """Keep doubling k's curve and its ``Batch.entries`` window entry."""
         self.outcomes[k] = curve
-        self._window_starts[k] = x_wa
+        self._entries[k] = entry
 
     def relax(self, tol: float, max_lookback: float) -> None:
+        """Set the tolerance and the lookback; the doublings follow."""
         self.tol, self.max_lookback = tol, max_lookback
+        self.doublings = [k for k in range(_MAX_DOUBLINGS) if 2.0**k <= max_lookback]
         self.estimate = None
 
     def resolve(self, cfg: IntegratorConfig) -> bool:
@@ -188,7 +200,7 @@ class PullbackJob:
         gaps: list[float] = []
         status = NOT_CONVERGED
         prev = None  # the last doubling with a curve
-        for k in self.doublings():
+        for k in self.doublings:
             start_times.append(self.start_time(k))
             if k not in self.outcomes:
                 return False
@@ -218,7 +230,7 @@ class PullbackJob:
         step = 1 if self.sense == "attracting" else -1  # times ascend
         evaluator = None
         if status == CONVERGED:
-            evaluator = _window_leg(self.model, self.wa, self.wb, self._window_starts[prev], cfg)
+            evaluator = _window_leg(self.model, self.wb, self._entries[prev], cfg)
         frame = "comoving" if self.model.comoving is not None else "ramp"
         note = f"{frame} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
@@ -266,29 +278,32 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     """Resolve pullback jobs, integrating their missing doublings as one batch.
 
     Every (job, doubling) pair is one member of a single Dormand–Prince
-    batch.  A member runs its approach leg with no step cap (error control
-    sets each step; the attracting dynamics contract that error away), then
-    restarts on the window leg with a fresh initial step and ``cfg.max_step``,
-    sampled onto the batch's curve grid while it steps.  Each job resolves in
-    doubling order and drops its remaining members once it converges or
-    escapes.  All jobs must share one model family, sense, window and ``cfg``.
+    batch.  A member runs from its start time to the window end as one leg
+    with no step cap: error control sets each step, and the attracting
+    dynamics contract that error away.  The leg is sampled onto the batch's
+    curve grid, by dense output, as its steps cross the window; its state on
+    entering the window is kept for ``PullbackEstimate.eval``.  Each job
+    resolves in doubling order and drops its remaining members once it
+    converges or escapes.  All jobs must share one model family, sense,
+    window and ``cfg``.  A start state that overflows (a ramp such as
+    exp(rt) far out) is infinite, and its member stops as escaped at start.
 
-    A member escapes, on either leg, when its norm reaches
-    ``cfg.escape_norm`` or, for a scalar model with a co-moving frame, once
-    its co-moving state y = x - v(t) leaves ``comoving.box`` on a side where
-    the co-moving field points away from the box and every closed-form
-    co-moving equilibrium at its rate lies strictly inside the box.  Beyond
-    every equilibrium a scalar autonomous flow moves monotonically away and
-    is never attracted, so such a member diverges: the stop saves its crawl
-    out to the escape norm.  Each rate's edges are read once from the
-    catalog's closed forms (``_exit_bounds``) and each member is checked on
-    its own, so its result still does not depend on its batch.
+    A member escapes when its norm reaches ``cfg.escape_norm`` or, for a
+    scalar model with a co-moving frame, once its co-moving state y = x -
+    v(t) leaves ``comoving.box`` on a side where the co-moving field points
+    away from the box and every closed-form co-moving equilibrium at its
+    rate lies strictly inside the box.  Beyond every equilibrium a scalar
+    autonomous flow moves monotonically away and is never attracted, so
+    such a member diverges: the stop saves its crawl out to the escape
+    norm.  Each rate's edges are read once from the catalog's closed forms
+    (``_exit_bounds``) and each member is checked on its own, so its result
+    still does not depend on its batch.
     """
     jobs = [job for job in jobs if not job.resolve(cfg)]
     if not jobs:
         return
     first = jobs[0]
-    model, sense, wa, wb = first.model, first.sense, first.wa, first.wb
+    model, sense, wb = first.model, first.sense, first.wb
     family = lambda m: (m.name, {k: v for k, v in m.params.items() if k != "r"})
     if any(job.sense != sense or job.window != first.window or family(job.model) != family(model)
            for job in jobs):
@@ -297,7 +312,10 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     ids_of = {}
     for i, (job, _) in enumerate(members):
         ids_of.setdefault(id(job), []).append(i)
-    t0 = [job.start_time(k) for job, k in members]
+    t0 = np.array([job.start_time(k) for job, k in members])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = np.concatenate([job.model.anchor_state(job.anchor, t0[ids_of[id(job)], None])
+                             for job in jobs])
     rates = np.array([job.model.rate for job, _ in members])
     models = {job.model.rate: job.model for job in jobs}
     edges = {r: _exit_bounds(m, sense) for r, m in models.items()}
@@ -306,42 +324,18 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     frame = model.comoving.ramp.value if np.isfinite(bounds[:, 1:]).any() else None
     batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
                   cfg.escape_norm, cfg.min_step, grid=first.grid, frame=frame)
-    stopped = batch.start(
-        np.arange(len(members)),
-        np.array([job.model.anchor_state(job.anchor, t) for (job, _), t in zip(members, t0)]),
-        t0,
-        wa,
-        rates,
-        bounds=bounds,
-    )
-    x_wa: dict[int, np.ndarray] = {}  # window-start states of the window legs
-    while stopped or batch.n_active:
-        restart = []
+    stopped = batch.start(np.arange(len(members)), x0, t0, wb, rates, bounds=bounds)
+    while True:
         for i in stopped:
             job, k = members[i]
             if job.estimate is not None:
                 continue
-            if i not in x_wa and batch.final[i][0] == COMPLETED:
-                restart.append(i)
-                continue
-            job.record(k, batch.samples.pop(i, None), x_wa.get(i))
+            job.record(k, batch.samples.pop(i, None), batch.entries.pop(i, None))
             if job.resolve(cfg):
                 batch.drop(ids_of[id(job)])
-        restart = [i for i in restart if members[i][0].estimate is None]
-        stopped = []
-        if restart:
-            x_wa.update((i, batch.final[i][2]) for i in restart)
-            stopped = batch.start(
-                restart,
-                np.array([x_wa[i] for i in restart]),
-                wa,
-                wb,
-                rates[restart],
-                max_step=cfg.max_step,
-                bounds=bounds[restart],
-            )
-        if not stopped and batch.n_active:
-            stopped = batch.advance()
+        if not batch.n_active:
+            break
+        stopped = batch.advance()
     for job in jobs:
         if not job.resolve(cfg):
             raise RuntimeError("pullback batch ended with an unresolved job")

@@ -7,8 +7,9 @@ explicit flags override config values.  An option of several numbers is a
 comma string ("0,4") as a flag, and a comma string or a JSON list in the
 config.  ``analysis.integrator`` may set ``abs_tol``, ``rel_tol``,
 ``max_step``, ``min_step`` and ``escape_norm``.  Exit codes: 0 success, 1
-the analysis ran but could not produce a conclusive result, 2 usage or
-configuration error, including any invalid option value.
+the analysis ran but could not produce a conclusive result (a ``pullback``
+that did not converge, an escaped one included), 2 usage or configuration
+error, including any invalid option value.
 """
 from __future__ import annotations
 
@@ -219,7 +220,7 @@ def _cmd_pullback(args, config) -> int:
         "convergence_gaps": est.convergence_gaps,
         "samples": {"t": est.times.tolist(), "x": est.states.tolist()},
     })
-    return 0 if est.status != analysis.NOT_CONVERGED else 1
+    return 0 if est.status == analysis.CONVERGED else 1
 
 
 def _cmd_qse(args, config) -> int:

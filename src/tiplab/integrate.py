@@ -12,8 +12,10 @@ dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
 code path: members that are retrying, clipped at their end time or rejected
 are told apart by masks, not by branches.  A batch records the steps of all
 its members or of none, samples those that cross its one time grid, which
-may run either way, and ignores their overflow on the way out.  A member
-that starts past the escape norm stops in ``Batch.start``, before any step.
+may run either way, as their steps cross it (a member may start before the
+grid, and a lone member resumed from its state on entering the grid takes
+the same steps), and ignores their overflow on the way out.  A member that
+starts past the escape norm, or not finite, stops in ``Batch.start``.
 Given a co-moving frame, a scalar member also stops as escaped when it leaves
 its own exit box, which pullbacks set where the flow is proven to diverge.
 
@@ -21,8 +23,8 @@ its own exit box, which pullbacks set where the flow is proven to diverge.
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
 state norm reaches an escape threshold (then brackets the blow-up time), and
 with ``step_underflow`` when step control drives the step below ``min_step``
-without an escape.  Pullback legs (backward in time for a repeller) and
-forward probes are sampled instead.
+without an escape.  Pullback legs (backward in time for a repeller), one
+uncapped leg per lookback doubling, and forward probes are sampled instead.
 """
 from __future__ import annotations
 
@@ -258,9 +260,9 @@ class Batch:
     """Members of one ODE stepped together by the Dormand–Prince 5(4) pair.
 
     ``rhs(X, T, R)`` evaluates the field at states X[n, d], times T[n] and
-    rates R[n].  ``start`` adds members (or restarts stopped ones on a new
-    leg) with a fresh initial step; ``advance`` makes one step attempt for
-    every active member, all on one code path, and returns the ids of those
+    rates R[n].  ``start`` adds members with a fresh initial step, or with
+    a kept one; ``advance`` makes one step attempt for every active member,
+    all on one code path, and returns the ids of those
     that stopped, whose ``(status, t, y)`` then sit in ``final``.  Only
     ``start`` stops a member that starts at or past ``escape_norm`` (at t0,
     with no step), a lone ``integrate`` included.  A member stops
@@ -269,14 +271,16 @@ class Batch:
     step underflows: below ten units in the last place of t on a retry, or
     below ``min_step`` away from the end time (``step_underflow``).  With
     ``record`` every member keeps every accepted step for ``trajectory``.
-    On a ``grid`` that runs forward or backward, a member that runs from
-    ``grid[0]`` to ``grid[-1]`` gets, from each accepted step from t to
-    t_new, the dense output at the grid points from t up to, not at, t_new,
-    and from the step that reaches the end time at all points left: the
-    step and arithmetic ``Trajectory.eval`` would use.  It holds a pool row
-    while active and, if it completes, leaves its curve in ``samples``.
-    Only the steps that cover a grid point are sampled: each sampled member
-    keeps the time of its next grid point.
+    On a ``grid`` that runs forward or backward, a member that ends on
+    ``grid[-1]``, from a start on ``grid[0]`` or before it as the grid runs,
+    gets, from each accepted step from t to t_new, the dense output at the
+    grid points from t up to, not at, t_new, and from the step that reaches
+    the end time at all points left: the step and arithmetic
+    ``Trajectory.eval`` would use.  It takes a pool row on its first step
+    onto the grid, keeps its (t, y, f, h_abs, rejected) from just before
+    that step, as one-member arrays, in ``entries`` and, if it completes,
+    leaves its curve in ``samples``.  Only the steps that cover a grid point
+    are sampled: each sampled member keeps the time of its next grid point.
 
     With ``frame(T, R)``, the ramp λ at times T[n] and rates R[n], a scalar
     member that ``start`` gave ``bounds = (gain, lo, hi)`` also stops as
@@ -297,34 +301,28 @@ class Batch:
         self.atol = atol
         self.escape_norm = escape_norm
         self.min_step = min_step
-        self.ids = np.empty(0, dtype=np.intp)
-        self.t = np.empty(0)
-        self.y = np.empty((0, dim))
-        self.f = np.empty((0, dim))
-        self.h_abs = np.empty(0)
-        self.rejected = np.empty(0, dtype=bool)
-        self.t_bound = np.empty(0)
-        self.direction = np.empty(0)
-        self.max_step = np.empty(0)
-        self.rate = np.empty(0)
-        self.slot = np.empty(0, dtype=np.intp)
-        self.pos = np.empty(0, dtype=np.intp)
-        self.next_t = np.empty(0)
-        self.bounds = np.empty((0, 3))
+        # the member arrays, empty (so shared) until ``start`` adds members
+        self.ids = self.slot = self.pos = np.empty(0, dtype=np.intp)
+        self.t = self.h_abs = self.t_bound = self.direction = np.empty(0)
+        self.max_step = self.rate = self.next_t = np.empty(0)
+        self.y, self.f = np.empty((0, dim)), np.empty((0, dim))
+        self.rejected, self.bounds = np.empty(0, dtype=bool), np.empty((0, 3))
         self.frame = frame
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
+        self.entries: dict[int, tuple] = {}
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
+        self._n = 0 if grid is None else len(self.grid)
         # a grid that runs backward is searched by -t, on its ascending -grid
         self._back = grid is not None and self.grid[-1] < self.grid[0]
         self._keys = -self.grid if self._back else self.grid
         # grid times by index, then the infinity past the grid's end: a
-        # sampled member's next grid time at pos
-        self._next_of = (None if grid is None
-                         else np.append(self.grid, -math.inf if self._back else math.inf))
+        # member's next grid time at pos, which is _n once it needs no more
+        self._next_of = np.append(self.grid if self._n else [],
+                                  -math.inf if self._back else math.inf)
         self.record = record
         # sample pool: samples by slot, and the free slots
-        self._curve = np.empty((0, 0 if grid is None else len(self.grid), dim))
+        self._curve = np.empty((0, self._n, dim))
         self._free: list[int] = []
         # each member's start and accepted steps, when recording: (t, y, K)
         self._steps: dict[int, list[tuple]] = {}
@@ -335,13 +333,16 @@ class Batch:
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf,
-              bounds=(0.0, -math.inf, math.inf)) -> list[int]:
+              bounds=(0.0, -math.inf, math.inf), resume=None) -> list[int]:
         """Start members ``ids`` at (t0, x0) toward t1 (all t1 != t0).
 
-        A member that ends on the last grid point must start on the first;
-        it is then sampled.  ``bounds`` rows (gain, lo, hi) are the members'
-        exit boxes when the batch has a ``frame``.  Returns the ids that
-        stopped at once, their norm already at or above ``escape_norm``.
+        A member that ends on the last grid point is sampled; it must start
+        on the first or before it, as the grid runs.  ``bounds`` rows (gain,
+        lo, hi) are the members' exit boxes when the batch has a ``frame``.
+        ``resume``, the members' (f[n, d], h_abs[n], rejected[n]) as kept in
+        ``entries``, stands in for the initial step, so that they step on as
+        they did.  Returns the ids that stopped at once, their norm already
+        at or above ``escape_norm``, or not finite.
         """
         ids = np.asarray(ids, dtype=np.intp).reshape(-1)
         n = len(ids)
@@ -352,35 +353,30 @@ class Batch:
         )
         bounds = np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3))
         direction = np.where(t1 > t0, 1.0, -1.0)
-        grid = self.grid
-        sampled = np.zeros(n, dtype=bool) if grid is None else t1 == grid[-1]
-        if np.any(sampled) and np.any(t0[sampled] != grid[0]):
-            raise ValueError("a member that ends on the last grid point must start on the first")
+        pos = np.full(n, self._n, dtype=np.intp)
+        if self._n:
+            sampled = t1 == self.grid[-1]
+            if np.any(sampled & ((t0 < self.grid[0]) if self._back else (t0 > self.grid[0]))):
+                raise ValueError("a member that ends on the last grid point must start "
+                                 "on the first or before it")
+            pos[sampled] = 0
         if self.record:
             for j in range(n):
                 self._steps[int(ids[j])] = [(float(t0[j]), x0[j].copy(), None)]
+        if resume is None:
+            f0, h_abs = self._initial_step(x0, t0, t1, rate, max_step, direction)
+            rejected = np.zeros(n, dtype=bool)
+        else:
+            f0, h_abs, rejected = resume
         out = ~(_norm2(x0) < self.escape_norm)
-        stopped = []
-        if out.any():
-            for j in np.flatnonzero(out):
-                self.final[int(ids[j])] = (ESCAPED, float(t0[j]), x0[j].copy())
-                stopped.append(int(ids[j]))
-            keep = ~out
-            ids, x0, t0, t1, rate, max_step, direction, sampled, bounds = (
-                v[keep] for v in (ids, x0, t0, t1, rate, max_step, direction, sampled, bounds)
-            )
-        if not len(ids):
-            return stopped
-        f0, h_abs = self._initial_step(x0, t0, t1, rate, max_step, direction)
-        slot = np.full(len(ids), -1, dtype=np.intp)
-        slot[sampled] = self._slots(np.count_nonzero(sampled))
-        next_t = np.where(sampled, t0, math.inf)  # a sampled member starts on grid[0]
-        new = (ids, t0, x0, f0, h_abs, np.zeros(len(ids), dtype=bool), t1,
-               direction, max_step, rate, slot, np.zeros(len(ids), dtype=np.intp),
-               next_t, bounds)
+        for j in np.flatnonzero(out):
+            self.final[int(ids[j])] = (ESCAPED, float(t0[j]), x0[j].copy())
+        # a sampled member takes its pool row on its first step onto the grid
+        new = (ids, t0, x0, f0, h_abs, rejected, t1, direction, max_step, rate,
+               np.full(n, -1, dtype=np.intp), pos, self._next_of[pos], bounds)
         for name, values in zip(_MEMBER_ARRAYS, new):
-            setattr(self, name, np.concatenate((getattr(self, name), values)))
-        return stopped
+            setattr(self, name, np.concatenate((getattr(self, name), values[~out])))
+        return ids[out].tolist()
 
     def _slots(self, n: int) -> np.ndarray:
         """n free pool rows, the pool grown just enough: rows stay as few as
@@ -441,6 +437,12 @@ class Batch:
         err_norm = _rms(err / scale)
         factor = _SAFETY * err_norm ** _ERR_EXP
         ok = err_norm < 1
+        # a step covers a grid point when it passes the next one or ends the
+        # leg; it is sampled before the member's state moves on
+        passed = (t_new < self.next_t) if self._back else (t_new > self.next_t)
+        sampled = ok & (self.pos < self._n) & (passed | (t_new == self.t_bound))
+        if np.count_nonzero(sampled):
+            self._sample(np.flatnonzero(sampled), h, t_new, K)
         # factor is >= _SAFETY when accepted, <= _SAFETY or NaN when rejected:
         # one clip grows (by at most 1 after a rejection) or shrinks the step
         cap = np.where(rej, 1.0, _MAX_FACTOR)
@@ -453,11 +455,6 @@ class Batch:
         if self.record:
             for j in np.flatnonzero(ok):
                 self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
-        # a step covers a grid point when it passes the next one or ends the leg
-        passed = (t_new < self.next_t) if self._back else (t_new > self.next_t)
-        sampled = ok & (self.slot >= 0) & (passed | (t_new == self.t_bound))
-        if np.count_nonzero(sampled):
-            self._sample(np.flatnonzero(sampled), t, y, h, t_new, K)
 
         # An accepted step stops its member on an escape (past the escape
         # norm, or out of its exit box), else on a step underflow short of
@@ -474,11 +471,18 @@ class Batch:
         status = np.where(esc, ESCAPED, np.where(under, STEP_UNDERFLOW, COMPLETED))
         return self._stop(stopped, status)
 
-    def _sample(self, j, t, y, h, t_new, K) -> None:
-        """Write the accepted steps of members j (t, y, h and K over all
-        active members) onto the sample grid."""
+    def _sample(self, j, h, t_new, K) -> None:
+        """Write the accepted steps of members j (h, t_new and K over all
+        active members, from their current state) onto the sample grid."""
+        entering = j[self.slot[j] < 0]
+        self.slot[entering] = self._slots(len(entering))
+        t, y = self.t, self.y
+        for i in entering:
+            k = slice(i, i + 1)
+            self.entries[int(self.ids[i])] = (t[k].copy(), y[k].copy(), self.f[k].copy(),
+                                              self.h_abs[k].copy(), self.rejected[k].copy())
         slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
-        end = np.where(t_new == self.t_bound[j], len(self.grid),
+        end = np.where(t_new == self.t_bound[j], self._n,
                        np.searchsorted(self._keys, -t_new if self._back else t_new))
         n = end - pos
         # row m[i] of j takes grid point p[i]: its points pos..end-1 in turn
@@ -514,6 +518,7 @@ class Batch:
         for i in ids:
             self._steps.pop(i, None)
             self.samples.pop(i, None)
+            self.entries.pop(i, None)
         if ids:
             gone = np.isin(self.ids, ids)
             self._free.extend(self.slot[gone & (self.slot >= 0)].tolist())

@@ -178,9 +178,9 @@ class ModelSpec:
         return make_model(self.name, **kw)
 
     def anchor_state(self, anchor, s: float) -> np.ndarray:
-        """Resolve an anchor to a full initial state at start time s: an
-        offset from the co-moving translation v(s), or from the ramp λ(rs)
-        for a model with no co-moving frame."""
+        """Resolve an anchor to a full initial state at start time s, or to
+        one state per row for a column s[n, 1]: an offset from the co-moving
+        translation v(s), or from the ramp λ(rs) with no co-moving frame."""
         a = np.atleast_1d(np.asarray(anchor, dtype=float))
         if a.shape != (self.dimension,):
             raise ValueError(f"anchor has shape {a.shape}, expected ({self.dimension},)")

@@ -242,17 +242,65 @@ def test_exit_box_stops_only_its_own_member():
 
 
 @pytest.mark.parametrize("t0", [0.5, -1.0])
-def test_member_ending_on_the_grid_must_start_on_it(t0):
-    # a member that ends on the grid's last point is sampled, which needs
-    # it to cover the whole grid; other end times are not sampled
+def test_member_ending_on_the_grid_must_start_at_or_before_it(t0):
+    # a member that ends on the grid's last point is sampled, which needs it
+    # to cover the whole grid: one that starts after grid[0] is refused, one
+    # that starts before it is sampled; other end times are not sampled
     model = make_model("moving-sn", mu=0.5, r=0.03)
     batch = Batch(model.rhs, 1, 1e-9, 1e-9, grid=np.linspace(0.0, 4.0, 201))
-    with pytest.raises(ValueError, match="last grid point"):
-        batch.start([0, 1], [[0.5], [0.5]], [0.0, t0], 4.0, model.rate)
+    if t0 > 0.0:
+        with pytest.raises(ValueError, match="last grid point"):
+            batch.start([0, 1], [[0.5], [0.5]], [0.0, t0], 4.0, model.rate)
+    else:
+        batch.start([2], [[0.5]], t0, 4.0, model.rate)
+        assert len(batch._curve) == 0  # no pool row before the grid
     batch.start([0], [[0.5]], t0, 3.0, model.rate)
     while batch.n_active:
         batch.advance()
-    assert batch.final[0][0] == "completed" and not batch.samples
+    assert batch.final[0][0] == "completed"
+    assert list(batch.samples) == ([] if t0 > 0.0 else [2])
+
+
+@pytest.mark.parametrize("sense", ["attracting", "repelling"])
+@pytest.mark.parametrize("name,params,starts", [
+    ("moving-sn", {"mu": 0.5, "r": 0.03},
+     {"attracting": [[0.9], [0.6]], "repelling": [[0.1], [0.3]]}),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2},
+     {"attracting": [[1.0, 0.9], [0.8, -0.9]], "repelling": [[0.1, 0.0], [0.2, -0.1]]}),
+])
+def test_member_starting_before_the_grid_samples_its_dense_output(name, params, starts, sense):
+    # members that start 3 and 0.25 before a grid over (0, 4), forward or
+    # backward, uncapped like a pullback leg: each samples, bitwise, what a
+    # lone recorded run gives on the grid, and one resumed alone from its
+    # kept window entry takes the same steps through the window
+    model = make_model(name, **params)
+    cfg = integrator_config(model)
+    x0s = np.array(starts[sense], dtype=float)
+    s = 1.0 if sense == "attracting" else -1.0
+    t0s, t1 = -s * np.array([3.0, 0.25]), 4.0 * s
+    grid = np.linspace(0.0, t1, 201)
+
+    def run(ids, x0, t0, **resume):
+        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
+                      cfg.escape_norm, cfg.min_step, grid=grid, record=True)
+        batch.start(ids, x0, t0, t1, model.rate, **resume)
+        while batch.n_active:
+            batch.advance()
+        assert all(batch.final[i][0] == "completed" for i in ids)
+        return batch
+
+    together = run([0, 1], x0s, t0s)
+    for i in (0, 1):
+        alone = run([i], x0s[i:i + 1], t0s[i])
+        traj = alone.trajectory(i)
+        assert np.array_equal(together.samples[i], traj.eval(grid))
+        assert np.array_equal(alone.samples[i], together.samples[i])
+        t, y, *resume = together.entries[i]
+        assert s * t[0] <= 0.0 < s * traj.times[np.searchsorted(s * traj.times, s * t[0]) + 1]
+        resumed = run([i], y, t, resume=resume).trajectory(i)
+        assert np.array_equal(resumed.eval(grid), together.samples[i])
+        tail = traj.times[-len(resumed.times):]
+        assert np.array_equal(resumed.times, tail)
 
 
 def test_pullback_batch_needs_one_window():
@@ -297,11 +345,23 @@ def test_pullback_member_starting_past_the_escape_norm():
     ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 1}, "attracting"),
 ])
 def test_estimate_eval_reproduces_states(name, params, sense):
-    # eval integrates the last doubling's window leg again, alone; on the
+    # eval resumes the last doubling alone from its window entry; on the
     # estimate's own times it must give back the batch-sampled states
     est = estimate_pullback(make_model(name, **params), sense=sense)
     assert est.status == "converged"
     assert np.array_equal(est.eval(est.times), est.states)
+
+
+def test_first_eval_integrates_only_the_window(monkeypatch):
+    # eval resumes from the window entry, so its first call steps through the
+    # window alone, not through the last doubling's 2**k lookback
+    est = estimate_pullback(make_model("moving-pitchfork", mu=1.0, p=2, r=0.5))
+    assert est.status == "converged"
+    calls = []
+    advance = Batch.advance
+    monkeypatch.setattr(Batch, "advance", lambda b: calls.append(1) or advance(b))
+    assert np.array_equal(est.eval(est.times), est.states)
+    assert 0 < len(calls) < 100
 
 
 @pytest.mark.parametrize("name,params,rates", [

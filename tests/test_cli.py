@@ -1,6 +1,6 @@
-import contextlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -98,22 +98,38 @@ class TestPullback:
         # a repeller's rows ascend in time like an attractor's; t = 0 reads
         # "0", not "-0", and each row holds the estimate's states.  drift's
         # deepest start times, up to 4099, overflow its ramp exp(t / 2): those
-        # members stop at their start, and the estimate converges before them.
+        # members start at an infinite state and stop there, with no warning
+        # (warnings are errors here).  drift and moving-pitchfork escape
+        # during the pullback and exit 1; their curve up to the escape prints.
         model = make_model(name)
         anchor = [0.0] * model.dimension
-        with (pytest.warns(RuntimeWarning, match="overflow") if name == "drift"
-              else contextlib.nullcontext()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, _ = run(capsys, "pullback", "--model", name, "--sense", "repelling",
                                "--window=-1,3", "--anchor", ",".join(map(str, anchor)),
                                "--format", "csv")
             est = estimate_pullback(model, window=(-1.0, 3.0), anchor=anchor,
                                     sense="repelling")
-        assert code == 0
+        assert code == (0 if est.status == "converged" else 1)
+        assert (est.status == "converged") is (name not in ("drift", "moving-pitchfork"))
         rows = [line.split(",") for line in out.splitlines()[1:]]
         labels = [row[0] for row in rows]
         assert "0" in labels and "-0" not in labels
         assert [float(t) for t in labels] == est.times.tolist()
         assert np.array_equal([[float(x) for x in row[1:]] for row in rows], est.states)
+
+
+    def test_escaped_estimate_exits_1(self, capsys):
+        # the repelling moving-pitchfork pullback escapes: the curve before
+        # the escape prints, and the exit status says it did not converge
+        code, out, _ = run(capsys, "pullback", "--model", "moving-pitchfork",
+                           "--sense", "repelling", "--anchor", "0,0", "--format", "csv")
+        assert code == 1
+        est = estimate_pullback(make_model("moving-pitchfork"), anchor=[0.0, 0.0],
+                                sense="repelling")
+        assert est.status == "escaped_during_pullback"
+        rows = out.splitlines()
+        assert rows[0] == "t,x0,x1" and len(rows) == 202
 
 
 class TestQse:
