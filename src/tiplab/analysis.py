@@ -140,12 +140,11 @@ class PullbackJob:
     Each doubling's outcome (its curve on ``grid``, or None when it escaped)
     and its state on entering the window are kept once integrated, so
     ``relax`` to a looser tolerance or a longer lookback reuses them:
-    ``resolve`` replays the sequential doubling
-    loop over the kept outcomes, each gap computed once, and the tolerance
-    enters only its convergence test: two successive sup gaps below
-    ``tol * max(1, sup|curve|)``, the last no larger than the one before
-    unless it lies within the integrator's noise floor ``_noise_floor``,
-    where gaps stop falling.
+    ``resolve`` reads the kept outcomes in doubling order, picking up where
+    it stopped, each once per tolerance, which enters only its convergence
+    test: two successive sup gaps below ``tol * max(1, sup|curve|)``, the
+    last no larger than the one before unless it lies within the
+    integrator's noise floor ``_noise_floor``, where gaps stop falling.
     """
 
     def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
@@ -172,7 +171,6 @@ class PullbackJob:
         self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
         self.outcomes: dict[int, np.ndarray | None] = {}
         self._entries: dict[int, tuple | None] = {}
-        self._gaps: dict[int, tuple[float, float]] = {}
         self.relax(tol, max_lookback)
 
     def pending(self) -> list[int]:
@@ -189,31 +187,35 @@ class PullbackJob:
         self._entries[k] = entry
 
     def relax(self, tol: float, max_lookback: float) -> None:
-        """Set the tolerance and the lookback; the doublings follow."""
+        """Set the tolerance and the lookback, and start the doubling loop over."""
         self.tol, self.max_lookback = tol, max_lookback
         self.doublings = [k for k in range(_MAX_DOUBLINGS) if 2.0**k <= max_lookback]
         self.estimate = None
+        # the loop's place: the start times and gaps read, the last curve's doubling
+        self._start_times: list[float] = []
+        self._conv_gaps: list[float] = []
+        self._prev: int | None = None
 
     def resolve(self, cfg: IntegratorConfig) -> bool:
-        """Set ``estimate`` once the kept outcomes decide it; else False."""
-        start_times: list[float] = []
-        gaps: list[float] = []
+        """Set ``estimate`` once the kept outcomes decide it; else False.
+        Each call picks the doubling loop up where the last one stopped."""
+        if self.estimate is not None:
+            return True
+        gaps = self._conv_gaps
         status = NOT_CONVERGED
-        prev = None  # the last doubling with a curve
-        for k in self.doublings:
-            start_times.append(self.start_time(k))
+        while len(self._start_times) < len(self.doublings):
+            k = self.doublings[len(self._start_times)]
             if k not in self.outcomes:
                 return False
-            if self.outcomes[k] is None:
+            self._start_times.append(self.start_time(k))
+            curve = self.outcomes[k]
+            if curve is None:
                 status = ESCAPED_DURING_PULLBACK
                 break
-            if prev is not None:
-                if k not in self._gaps:  # (sup gap to doubling k - 1, sup|curve|)
-                    curve = self.outcomes[k]
-                    self._gaps[k] = (float(np.max(np.abs(curve - self.outcomes[prev]))),
-                                     float(np.max(np.abs(curve))))
-                gap, size = self._gaps[k]
-                gaps.append(gap)
+            prev, self._prev = self._prev, k
+            if prev is not None:  # the sup gap to doubling k - 1, and sup|curve|
+                gaps.append(float(np.abs(curve - self.outcomes[prev]).max()))
+                size = float(np.abs(curve).max())
                 tol_eff = self.tol * max(1.0, size)
                 if (
                     len(gaps) >= 2
@@ -222,15 +224,13 @@ class PullbackJob:
                     and (gaps[-1] <= gaps[-2] or gaps[-1] <= _noise_floor(cfg, size))
                 ):
                     status = CONVERGED
-                    prev = k
                     break
-            prev = k
 
-        curve = np.empty((0, self.model.dimension)) if prev is None else self.outcomes[prev]
+        curve = self.outcomes.get(self._prev, np.empty((0, self.model.dimension)))
         step = 1 if self.sense == "attracting" else -1  # times ascend
         evaluator = None
         if status == CONVERGED:
-            evaluator = _window_leg(self.model, self.wb, self._entries[prev], cfg)
+            evaluator = _window_leg(self.model, self.wb, self._entries[self._prev], cfg)
         frame = "comoving" if self.model.comoving is not None else "ramp"
         note = f"{frame} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
@@ -239,7 +239,7 @@ class PullbackJob:
             states=curve[::step],
             anchor=self.anchor,
             anchor_note=note,
-            start_times=start_times,
+            start_times=self._start_times,
             convergence_gaps=gaps,
             status=status,
             sense=self.sense,

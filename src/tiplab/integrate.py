@@ -2,10 +2,11 @@
 
 One in-house Dormand–Prince 5(4) stepper advances N independent members at
 once.  Each member has its own time, step size, step cap, end time and
-status, and steps forward or backward in time; every stage sum is added in
-stage order (no BLAS products), so a member's result does not depend on how
-many other members share its batch or which they are, a batch of one
-included.  The tableau, the step-size controller and the initial-step
+status, and steps forward or backward in time; a step keeps its stage sums
+running, each stage added in place into the sums that use it, so every sum
+is added in stage order (no BLAS products) and a member's result does not
+depend on how many other members share its batch or which they are, a batch
+of one included.  The tableau, the step-size controller and the initial-step
 heuristic are those of Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980),
 and Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6; the quartic
 dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
@@ -51,10 +52,10 @@ STEP_UNDERFLOW = "step_underflow"
 # Step-attempt budget for the post-escape refinement of a blow-up time.
 _REFINE_MAX_STEPS = 8000
 
-# Dormand–Prince 5(4): nodes, stage coefficients, 5th-order weights, error
-# weights (5th minus 4th order, over all seven stages) and the dense-output
-# matrix for Shampine's quartic interpolant.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Dormand–Prince 5(4): nodes, stage coefficients, 5th-order weights (stage 6
+# is taken there), error weights (5th minus 4th order, over all seven stages)
+# and the dense-output matrix for Shampine's quartic interpolant.
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = (
     (),
     (1 / 5,),
@@ -80,38 +81,26 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 5.0
 
 
-def _weights(coeffs):
-    """(stage indices, weights[j, 1, 1]) of the nonzero coefficients."""
-    idx = [j for j, c in enumerate(coeffs) if c]
-    w = np.array([coeffs[j] for j in idx])[:, None, None]
-    return (slice(0, len(idx)) if idx == list(range(len(idx))) else idx), w
-
-
-_A_W = [None] + [_weights(a) for a in _A[1:]]
-_B_W = _weights(_B)
-_E_W = _weights(_E)
+# A step's running sums: row i < 5 feeds stage i + 1, row 5 is the 5th-order
+# sum, row 6 the error sum.  A stage's nonzero weights cover one run of rows,
+# (rows, weights[m, 1, 1]) in _STAGE_ROWS, into which it adds (stage 0 is
+# assigned, so -0.0 survives); the zeros of _B and _E are skipped.
+_SUMS = np.array([a + (0.0,) * (7 - len(a)) for a in _A[1:]] + [_B + (0.0,), _E])
+_STAGE_ROWS = [(slice(i[0], i[-1] + 1), w[i[0]:i[-1] + 1, None, None])
+               for w in _SUMS.T for i in [np.flatnonzero(w)]]
 # Column 0 of _P is stage 0 alone, with weight 1; columns 1-3 share their
 # nonzero stages, so one accumulation gives all three.
-_P_IDX = [0, 2, 3, 4, 5, 6]
+_P_IDX = np.array([0, 2, 3, 4, 5, 6])
 _P_W = np.array([_P[j][1:] for j in _P_IDX])[:, None, None, :]
-
-
-def _wsum(K: np.ndarray, weights) -> np.ndarray:
-    """sum_j w[j] * K[idx[j]] over the stage axis of K[s, n, d].
-
-    ``np.add.accumulate`` adds strictly in stage order whatever n is, so a
-    member's sum does not depend on the other members in K.
-    """
-    idx, w = weights
-    return np.add.accumulate(K[idx] * w, axis=0)[-1]
 
 
 def _coeffs(K: np.ndarray) -> np.ndarray:
     """Dense-output coefficients q[n, d, 4] of the steps with stages
-    K[7, n, d]: column c is ``_wsum`` over column c of ``_P``, in stage order."""
+    K[7, n, d]: column c sums the stages, weighted by column c of ``_P``, in
+    stage order (``np.add.accumulate`` adds strictly in order whatever n is)."""
     q = np.empty(K.shape[1:] + (4,))
     q[..., 0] = K[0]
-    q[..., 1:] = np.add.accumulate(K[_P_IDX][..., None] * _P_W, axis=0)[-1]
+    q[..., 1:] = np.add.accumulate(K.take(_P_IDX, axis=0)[..., None] * _P_W, axis=0)[-1]
     return q
 
 
@@ -378,16 +367,6 @@ class Batch:
             setattr(self, name, np.concatenate((getattr(self, name), values[~out])))
         return ids[out].tolist()
 
-    def _slots(self, n: int) -> np.ndarray:
-        """n free pool rows, the pool grown just enough: rows stay as few as
-        active members."""
-        more = n - len(self._free)
-        if more > 0:
-            old = len(self._curve)
-            self._curve = np.concatenate((self._curve, np.empty((more,) + self._curve.shape[1:])))
-            self._free.extend(range(old + more - 1, old - 1, -1))
-        return np.array([self._free.pop() for _ in range(n)], dtype=np.intp)
-
     def _initial_step(self, y0, t0, t1, rate, max_step, direction):
         """First derivative and the Hairer–Nørsett–Wanner starting step."""
         f0 = self.rhs(y0, t0, rate)
@@ -411,13 +390,15 @@ class Batch:
     def advance(self) -> list[int]:
         """One step attempt for every active member; returns stopped ids."""
         t, y, f, d, rej = self.t, self.y, self.f, self.direction, self.rejected
-        min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
-        # a retry keeps its shrunk step, and fails once that is too small
+        # a retry keeps its shrunk step, and fails once that is below ten
+        # units in the last place of t toward t_bound (not yet reached)
+        min_step = 10 * np.abs(np.nextafter(t, self.t_bound) - t)
         h_abs = np.where(rej, self.h_abs,
                          np.minimum(np.maximum(self.h_abs, min_step), self.max_step))
         fail = rej & (h_abs < min_step)
         if np.count_nonzero(fail):
-            return self._stop(fail, STEP_UNDERFLOW)
+            j = fail.nonzero()[0]
+            return self._stop(j, [STEP_UNDERFLOW] * len(j))
 
         t_new = t + h_abs * d
         t_new = np.where(d * (t_new - self.t_bound) > 0, self.t_bound, t_new)
@@ -427,30 +408,37 @@ class Batch:
         R = self.rate
         T = t + np.multiply.outer(_C, h)
         K = np.empty((7, len(t), self.dim))
+        S = np.empty_like(K)
+        # each stage, once evaluated, is weighted into the sums it feeds
         K[0] = f
-        for j in range(1, 6):
-            K[j] = self.rhs(y + _wsum(K, _A_W[j]) * H, T[j], R)
-        y_new = y + H * _wsum(K, _B_W)
-        K[6] = self.rhs(y_new, t + h, R)
-        err = _wsum(K, _E_W) * H
+        np.multiply(_STAGE_ROWS[0][1], f, out=S)
+        for j in range(1, 7):
+            Y = y + S[j - 1] * H
+            K[j] = self.rhs(Y, T[j], R)
+            rows, w = _STAGE_ROWS[j]
+            S[rows] += w * K[j]
+        y_new = Y
+        err = S[6] * H
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
         err_norm = _rms(err / scale)
         factor = _SAFETY * err_norm ** _ERR_EXP
         ok = err_norm < 1
+        at_end = t_new == self.t_bound
         # a step covers a grid point when it passes the next one or ends the
         # leg; it is sampled before the member's state moves on
         passed = (t_new < self.next_t) if self._back else (t_new > self.next_t)
-        sampled = ok & (self.pos < self._n) & (passed | (t_new == self.t_bound))
+        sampled = ok & (passed | at_end) & (self.pos < self._n)
         if np.count_nonzero(sampled):
-            self._sample(np.flatnonzero(sampled), h, t_new, K)
+            self._sample(sampled.nonzero()[0], h, t_new, at_end, K)
         # factor is >= _SAFETY when accepted, <= _SAFETY or NaN when rejected:
         # one clip grows (by at most 1 after a rejection) or shrinks the step
         cap = np.where(rej, 1.0, _MAX_FACTOR)
         self.h_abs = h_abs * np.fmax(np.minimum(cap, factor), _MIN_FACTOR)
-        okc = ok[:, None]
-        self.t = np.where(ok, t_new, t)
-        self.y = np.where(okc, y_new, y)
-        self.f = np.where(okc, K[6], f)
+        self.t, self.y, self.f = t_new, y_new, K[6]
+        if np.count_nonzero(ok) < len(ok):  # a rejected member keeps its state
+            okc = ok[:, None]
+            self.t, self.y, self.f = (np.where(ok, t_new, t), np.where(okc, y_new, y),
+                                      np.where(okc, K[6], f))
         self.rejected = ~ok
         if self.record:
             for j in np.flatnonzero(ok):
@@ -464,63 +452,74 @@ class Batch:
             gain, lo, hi = self.bounds.T
             u = y_new[:, 0] - gain * self.frame(t_new, R)
             esc |= (u < lo) | (u > hi)
-        under = (self.h_abs < self.min_step) & (np.abs(self.t_bound - t_new) > self.min_step)
-        stopped = ok & (esc | under | (t_new == self.t_bound))
-        if not np.count_nonzero(stopped):
+        under = self.h_abs < self.min_step
+        if np.count_nonzero(under):
+            under &= np.abs(self.t_bound - t_new) > self.min_step
+        j = (ok & (esc | under | at_end)).nonzero()[0]
+        if not len(j):
             return []
-        status = np.where(esc, ESCAPED, np.where(under, STEP_UNDERFLOW, COMPLETED))
-        return self._stop(stopped, status)
+        return self._stop(j, [ESCAPED if e else STEP_UNDERFLOW if u else COMPLETED
+                              for e, u in zip(esc[j].tolist(), under[j].tolist())])
 
-    def _sample(self, j, h, t_new, K) -> None:
-        """Write the accepted steps of members j (h, t_new and K over all
-        active members, from their current state) onto the sample grid."""
+    def _sample(self, j, h, t_new, at_end, K) -> None:
+        """Write the accepted steps of members j (h, t_new, at_end and K over
+        all active members, from their current state) onto the sample grid."""
         entering = j[self.slot[j] < 0]
-        self.slot[entering] = self._slots(len(entering))
-        t, y = self.t, self.y
-        for i in entering:
-            k = slice(i, i + 1)
-            self.entries[int(self.ids[i])] = (t[k].copy(), y[k].copy(), self.f[k].copy(),
-                                              self.h_abs[k].copy(), self.rejected[k].copy())
+        if len(entering):
+            # a pool row each, grown just enough: rows stay as few as active members
+            more = len(entering) - len(self._free)
+            if more > 0:
+                old = len(self._curve)
+                self._curve = np.concatenate((self._curve,
+                                              np.empty((more,) + self._curve.shape[1:])))
+                self._free.extend(range(old + more - 1, old - 1, -1))
+            self.slot[entering] = [self._free.pop() for _ in range(len(entering))]
+            kept = [a.take(entering[:, None], axis=0)
+                    for a in (self.t, self.y, self.f, self.h_abs, self.rejected)]
+            self.entries.update(zip(self.ids[entering].tolist(), zip(*kept)))
         slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
-        end = np.where(t_new == self.t_bound[j], self._n,
-                       np.searchsorted(self._keys, -t_new if self._back else t_new))
+        end = np.searchsorted(self._keys, -t_new if self._back else t_new)
+        end[at_end[j]] = self._n  # the step that ends the leg takes every point left
+        q = _coeffs(K.take(j, axis=1))
         n = end - pos
         # row m[i] of j takes grid point p[i]: its points pos..end-1 in turn
-        m = np.repeat(np.arange(len(j)), n)
-        p = np.arange(len(m)) - np.repeat(np.cumsum(n) - n, n) + pos[m]
-        q = _coeffs(K[:, j])
-        jm, sm = j[m], slot[m]
-        self._curve[sm, p] = _dense(q[m], t[jm], h[jm], y[jm], self.grid[p])
+        m = np.arange(len(j)).repeat(n)
+        p = (pos + n - n.cumsum()).repeat(n) + np.arange(len(m))
+        jm = j.take(m)
+        self._curve[slot.take(m), p] = _dense(q.take(m, axis=0), self.t[jm], h[jm],
+                                              self.y.take(jm, axis=0), self.grid[p])
         self.pos[j] = end
         self.next_t[j] = self._next_of[end]
 
-    def _stop(self, mask: np.ndarray, status) -> list[int]:
-        status = np.broadcast_to(np.asarray(status), mask.shape)
-        stopped = []
-        for j in np.flatnonzero(mask):
-            i, s = int(self.ids[j]), int(self.slot[j])
-            self.final[i] = (str(status[j]), float(self.t[j]), self.y[j].copy())
-            if s >= 0:
-                if status[j] == COMPLETED:
-                    self.samples[i] = self._curve[s].copy()
-                self._free.append(s)
-            stopped.append(i)
-        self._compact(~mask)
-        return stopped
+    def _stop(self, j: np.ndarray, status: list[str]) -> list[int]:
+        """Stop active members j, with a status each."""
+        ids, slots = self.ids[j].tolist(), self.slot[j].tolist()
+        self.final.update(zip(ids, zip(status, self.t[j].tolist(), self.y.take(j, axis=0))))
+        done = [k for k, st in enumerate(status) if st == COMPLETED and slots[k] >= 0]
+        curves = self._curve.take([slots[k] for k in done], axis=0)
+        self.samples.update(zip([ids[k] for k in done], curves))
+        self._free.extend(s for s in slots if s >= 0)
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[j] = False
+        self._compact(keep)
+        return ids
 
     def _compact(self, keep: np.ndarray) -> None:
+        k = keep.nonzero()[0]
         for name in _MEMBER_ARRAYS:
-            setattr(self, name, getattr(self, name)[keep])
+            setattr(self, name, getattr(self, name).take(k, axis=0))
 
     def drop(self, ids) -> None:
         """Remove members from the active set and forget what they kept."""
-        ids = list(ids)
-        for i in ids:
+        ids = np.sort(np.asarray(list(ids), dtype=np.intp))
+        for i in ids.tolist():
             self._steps.pop(i, None)
             self.samples.pop(i, None)
             self.entries.pop(i, None)
-        if ids:
-            gone = np.isin(self.ids, ids)
+        if len(ids):
+            # a binary search in the sorted ids, not np.isin over the active set
+            k = np.searchsorted(ids, self.ids)
+            gone = ids.take(np.minimum(k, len(ids) - 1)) == self.ids
             self._free.extend(self.slot[gone & (self.slot >= 0)].tolist())
             self._compact(~gone)
 

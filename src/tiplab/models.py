@@ -10,6 +10,7 @@ against.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -524,6 +525,8 @@ _FACTORIES = {
 }
 
 MODEL_NAMES = tuple(_FACTORIES)
+# each factory's parameter names, read from its signature once
+_PARAMS = {name: frozenset(inspect.signature(f).parameters) for name, f in _FACTORIES.items()}
 
 
 def make_model(name: str, **params) -> ModelSpec:
@@ -532,10 +535,7 @@ def make_model(name: str, **params) -> ModelSpec:
         factory = _FACTORIES[name]
     except KeyError:
         raise TiplabError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}") from None
-    import inspect
-
-    allowed = set(inspect.signature(factory).parameters)
-    unknown = set(params) - allowed
+    unknown = set(params) - _PARAMS[name]
     if unknown:
         raise TiplabError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
     return factory(**params)

@@ -86,6 +86,30 @@ def test_relaxed_retry_reuses_doublings(r, tol, max_lookback, pending, integrate
     assert_same_estimate(job.estimate, fresh)
 
 
+def test_resolve_picks_up_where_it_stopped():
+    # outcomes recorded deepest first: the doubling loop waits at doubling 0,
+    # then reads every kept doubling once and matches the in-order estimate
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    cfg = integrator_config(model)
+    job = lambda tol: PullbackJob(model, np.array([0.0]), "attracting", (0.0, 4.0), tol, 1024.0)
+    ref = job(1e-12)
+    run_pullbacks([ref], cfg)
+    assert ref.estimate.status == "not_converged" and sorted(ref.outcomes) == list(range(11))
+
+    late = job(1e-12)
+    for k in sorted(ref.outcomes, reverse=True):
+        late.record(k, ref.outcomes[k], ref._entries[k])
+        assert late.resolve(cfg) == (k == 0)
+    assert_same_estimate(late.estimate, ref.estimate)
+
+    # relax starts the loop over: a looser tol converges on the kept doublings
+    late.relax(1e-4, 1024.0)
+    assert late.pending() == [] and late.resolve(cfg)
+    fresh = estimate_pullback(model, anchor=[0.0], tol=1e-4, max_lookback=1024.0)
+    assert fresh.status == "converged" and len(fresh.start_times) == 8
+    assert_same_estimate(late.estimate, fresh)
+
+
 def test_forward_probes_match_lone_integration():
     # the probes run as one batch; each must trace exactly what integrating
     # it alone traces, the escaping probe (below the repeller) included

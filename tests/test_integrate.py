@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from tiplab.integrate import (
+    _A,
+    _B,
+    _C,
+    _E,
     COMPLETED,
     ESCAPED,
     STEP_UNDERFLOW,
+    Batch,
     IntegratorConfig,
     VectorFieldHandle,
     integrate,
@@ -169,3 +174,64 @@ class TestToleranceScaling:
             errs.append(abs(traj.final_state[0] - math.exp(-3.0)))
         assert errs[0] > errs[2]
         assert errs[2] < 1e-10
+
+
+def _stage_sum(weights, K):
+    """sum_j weights[j] * K[j] in Python floats, over the nonzero weights in
+    stage order, the first term assigned."""
+    terms = [(w, k) for w, k in zip(weights, K) if w]
+    total = [terms[0][0] * v for v in terms[0][1]]
+    for w, k in terms[1:]:
+        total = [s + w * v for s, v in zip(total, k)]
+    return total
+
+
+def _dp5_attempt(rhs, y, t, h_abs, direction, r):
+    """One Dormand–Prince 5(4) attempt from (t, y) by hand: (t_new, y_new,
+    each stage's (state, time) after the first, the last stage)."""
+    f = lambda Y, T: rhs(np.array([Y]), np.array([T]), np.array([r]))[0].tolist()
+    t_new = t + h_abs * direction
+    h = t_new - t
+    K = [f(y, t)]
+    inputs = []
+    for j in range(1, 7):
+        Y = [v + s * h for v, s in zip(y, _stage_sum(_A[j] if j < 6 else _B, K))]
+        inputs.append((Y, t + _C[j] * h if j < 6 else t + h))
+        K.append(f(*inputs[-1]))
+    return t_new, Y, inputs, K[6]
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("name,params,x0,t0,h_abs", [
+    # from a zero state each stage's state is its stage sum times h, bits
+    # and all, so a sum added in another order shows
+    ("moving-sn", {"mu": 0.5, "r": 0.03}, [0.0], -3.7, 0.3),
+    ("moving-pitchfork", {"mu": 1.0, "p": 2, "r": 0.8}, [0.0, 0.0], -1.3, 0.05),
+    ("moving-pitchfork", {"mu": 1.0, "p": 2, "r": 0.8}, [0.4, 0.9], -1.3, 0.05),
+])
+def test_batch_step_adds_stages_in_order(name, params, x0, t0, h_abs, direction):
+    # a kept step size fixes the attempt, which must equal the hand-made one
+    # bitwise, whether the member steps alone or between two others
+    model = make_model(name, **params)
+    r = model.rate
+    t_new, y_new, inputs, f_new = _dp5_attempt(model.rhs, x0, t0, h_abs, direction, r)
+    t1 = t0 + 10.0 * direction
+    for x0s, member in (([x0], 0), ([[v + 0.1 for v in x0], x0, [v - 0.2 for v in x0]], 1)):
+        seen = []
+
+        def rhs(X, T, R):
+            seen.append((X[member].tolist(), float(T[member])))
+            return model.rhs(X, T, R)
+
+        batch = Batch(rhs, model.dimension, 1e-5, 1e-5)
+        X = np.array(x0s)
+        T0 = t0 + np.arange(len(X)) - member
+        F = model.rhs(X, T0, np.full(len(X), r))
+        batch.start(np.arange(len(X)), X, T0, T0 + t1 - t0, r,
+                    resume=(F, np.full(len(X), h_abs), np.zeros(len(X), dtype=bool)))
+        assert batch.advance() == []
+        assert seen == inputs
+        assert not batch.rejected[member]
+        assert batch.t[member] == t_new
+        assert batch.y[member].tolist() == y_new
+        assert batch.f[member].tolist() == f_new

@@ -66,6 +66,14 @@ class TestCatalog:
         with pytest.raises(TiplabError):
             make_model("drift", sigma=10.0)
 
+    def test_unknown_param_rejected_again(self):
+        # the parameter names are read once per factory; a repeat call
+        # still rejects the same key with the same message
+        make_model("moving-sn", mu=0.5)
+        for _ in range(2):
+            with pytest.raises(TiplabError, match=r"unknown parameter\(s\) for moving-sn: \['bad'\]"):
+                make_model("moving-sn", mu=0.5, bad=1.0)
+
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, r):
         with pytest.raises(ValueError):
