@@ -61,9 +61,15 @@ GRID_POINTS = 201
 
 def integrator_config(model: ModelSpec, overrides: Mapping | None = None) -> IntegratorConfig:
     """Integrator settings for a model: the defaults with the model's escape
-    norm, then the config fields given in ``overrides``; any other key in
-    ``overrides`` is a ValueError."""
-    kw = {"escape_norm": model.escape_norm, **(overrides or {})}
+    norm, then the config fields given in ``overrides``.  ``overrides`` that
+    is not a mapping of setting names to int or float values (booleans are
+    not numbers), or that names any other key, is a ValueError."""
+    overrides = {} if overrides is None else overrides
+    if not (isinstance(overrides, Mapping)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in overrides.values())):
+        raise ValueError("integrator overrides must map setting names to numbers")
+    kw = {"escape_norm": model.escape_norm, **overrides}
     known = [f.name for f in fields(IntegratorConfig)]
     unknown = sorted(set(kw) - set(known))
     if unknown:

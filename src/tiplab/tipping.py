@@ -3,16 +3,18 @@
 Tipping at a given rate is decided from pullback estimates alone: either
 some anchored estimate escapes in finite time, or the number of distinct
 pullback-attracting curves drops below the model's baseline count.  The
-critical rate is then bracketed by a logarithmic scan plus bisection on
-that qualitative predicate, and classified through the co-moving frozen
-system on either side of the bracket.
+critical rate is then bracketed by one refinement loop on that
+qualitative predicate (a logarithmic scan, then rounds of bisection
+midpoints between neighboring rates whose verdicts differ) and classified
+through the co-moving frozen system on either side of the bracket.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -309,9 +311,10 @@ def _scan_rates(r_range: tuple[float, float], resolution: float) -> np.ndarray:
 
 
 # Bisection levels decided per round: up to 2**3 - 1 = 7 midpoints of each
-# open bracket in one batch.  A batch takes as long as its deepest lookback
+# disagreeing pair in one batch.  A batch takes as long as its deepest lookback
 # doubling, so deciding more levels at once saves few rounds and pays for
-# midpoints the walk never reads (six levels ran slower on moving-cubic).
+# midpoints that end up outside every bracket (six levels ran slower on
+# moving-cubic).
 _ROUND_DEPTH = 3
 
 
@@ -323,17 +326,6 @@ def _probe_rates(model: ModelSpec, rates: Sequence[float], anchors: Sequence | N
             _diagnose_rates(model, rates, anchors, window, tol, max_lookback, cfg)]
 
 
-@dataclass
-class _Walk:
-    """One bracket's bisection: its current interval and what it has read."""
-    a: float
-    b: float
-    va: bool
-    nudges: int = 0
-    probes: int = 0
-    flagged: bool = False
-
-
 def _midpoints(a: float, b: float, resolution: float, depth: int) -> list[float]:
     """The midpoints of the next ``depth`` bisection levels below (a, b),
     leaving out every interval no wider than ``resolution``."""
@@ -342,67 +334,6 @@ def _midpoints(a: float, b: float, resolution: float, depth: int) -> list[float]
     m = 0.5 * (a + b)
     return [m, *_midpoints(a, m, resolution, depth - 1),
             *_midpoints(m, b, resolution, depth - 1)]
-
-
-def _bisect(
-    brackets: Sequence[tuple[float, float]],
-    resolution: float,
-    verdicts: dict[float, bool | None],
-    consulted: set[float],
-    decide: Callable[[list[float]], list[bool | None]],
-) -> list[_Walk]:
-    """Bisect each bracket (a, b) down to ``resolution``, in rounds.
-
-    ``verdicts`` holds the predicate at every rate decided so far, both ends
-    of each bracket included; ``decide(rates)`` returns it at new rates, as
-    one batch.  A round decides the midpoints of the next ``_ROUND_DEPTH``
-    levels of every bracket whose next midpoint is undecided, all in one
-    call.  Each bracket then walks through those verdicts as a bisection
-    probing one midpoint at a time would: it keeps the half whose ends
-    disagree.  At an undecidable midpoint it decides a point 40% (then 60%,
-    alternating) of the way across on its own and moves there; when that is
-    undecidable too, the bracket is flagged and stops.  Only rates a walk
-    reads join ``consulted`` and count towards its ``probes``.
-    """
-    walks = [_Walk(a, b, verdicts[a]) for a, b in brackets]
-
-    def read(w: _Walk, r: float) -> bool | None:
-        if r not in verdicts:
-            (verdicts[r],) = decide([r])
-        if r not in consulted:
-            consulted.add(r)
-            w.probes += 1
-        return verdicts[r]
-
-    def walk(w: _Walk) -> bool:
-        """Advance through decided midpoints; False at an undecided one."""
-        while w.b - w.a > resolution:
-            mid = 0.5 * (w.a + w.b)
-            if mid not in verdicts:
-                return False
-            vm = read(w, mid)
-            if vm is None:
-                # step the probe off the undecidable point
-                mid = w.a + (0.4 if w.nudges % 2 == 0 else 0.6) * (w.b - w.a)
-                vm = read(w, mid)
-                w.nudges += 1
-                if vm is None:
-                    w.flagged = True
-                    break
-            if vm == w.va:
-                w.a = mid
-            else:
-                w.b = mid
-        return True
-
-    pending = [w for w in walks if not walk(w)]
-    while pending:
-        rates = [r for w in pending
-                 for r in _midpoints(w.a, w.b, resolution, _ROUND_DEPTH)
-                 if r not in verdicts]
-        verdicts.update(zip(rates, decide(rates)))
-        pending = [w for w in pending if not walk(w)]
-    return walks
 
 
 def find_critical_rate(
@@ -417,19 +348,21 @@ def find_critical_rate(
 ) -> TippingReport:
     """Bracket every critical rate in a range by scan + bisection.
 
-    The scan places 40 log-spaced probes per decade of |r| (both signs
-    when the range straddles zero) and decides them in one batch; each
-    flip of the tipping predicate between neighboring probes seeds a
-    bisection down to ``resolution``.  The bisection runs in
-    rounds: one batch decides the midpoints of the next three levels of
-    every open bracket, and each bracket then keeps the half whose ends
-    disagree, level by level, as a one-midpoint-at-a-time bisection would.
-    Inconclusive probes are retried with a relaxed convergence tolerance
-    and a four-fold lookback.  An undecidable midpoint is stepped off once
-    to a nearby point probed alone; if that is undecidable too, the bracket
-    is flagged instead of silently narrowed.  ``probes`` and ``flagged``
-    count only the rates the scan and the bisection read: a midpoint
-    decided ahead but never reached adds nothing to either.
+    One loop refines a single map of verdicts, one batch per round.  The
+    first round is the scan: 40 log-spaced rates per decade of |r| (both
+    signs when the range straddles zero).  Each later round decides the
+    undecided midpoints of the next three bisection levels of every pair
+    of neighboring decided rates whose verdicts differ and that is wider
+    than ``resolution``; undecidable rates (None) are skipped when pairing.
+    The loop ends when a round adds no rate, and every such pair left is a
+    bracket.  Inconclusive rates are retried with a relaxed convergence
+    tolerance and a four-fold lookback before they read None.
+
+    A bracket's ``probes`` is its number of bisection levels below its
+    cell of neighboring decided scan rates; the report's is the scan's
+    size plus their sum.  A bracket is flagged when undecidable rates
+    leave it wider than ``resolution``, and the report is flagged when any
+    decided rate reads None.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -441,35 +374,31 @@ def find_critical_rate(
     scan = [float(r) for r in _scan_rates(r_range, resolution)]
     cfg = cfg or integrator_config(model)
 
-    def decide(rates: list[float]) -> list[bool | None]:
-        return _probe_rates(model, rates, anchors, window, tol, max_lookback, cfg)
+    verdicts: dict[float, bool | None] = {}
+    rates = scan
+    while rates:
+        verdicts.update(zip(rates, _probe_rates(model, rates, anchors, window, tol,
+                                                max_lookback, cfg)))
+        decided = sorted(r for r, v in verdicts.items() if v is not None)
+        pairs = [(a, b) for a, b in zip(decided, decided[1:]) if verdicts[a] != verdicts[b]]
+        rates = [r for a, b in pairs for r in _midpoints(a, b, resolution, _ROUND_DEPTH)
+                 if r not in verdicts]
 
-    verdicts = dict(zip(scan, decide(scan)))
-
-    raw_brackets: list[tuple[float, float]] = []
-    last = None
-    for r in scan:
-        if verdicts[r] is None:
-            continue
-        if last is not None and verdicts[last] != verdicts[r]:
-            raw_brackets.append((last, r))
-        last = r
-
-    consulted = set(scan)
-    walks = _bisect(raw_brackets, resolution, verdicts, consulted, decide)
-    brackets = [
-        CriticalRateBracket(w.a, w.b, _classify(model, w.a, w.b), flagged=w.flagged,
-                            probes=w.probes)
-        for w in walks
-    ]
+    cells = [r for r in scan if verdicts[r] is not None]
+    brackets = []
+    for a, b in pairs:
+        i = bisect.bisect_right(cells, a)
+        levels = round(math.log2((cells[i] - cells[i - 1]) / (b - a)))
+        brackets.append(CriticalRateBracket(a, b, _classify(model, a, b),
+                                            flagged=b - a > resolution, probes=levels))
     return TippingReport(
         model=model.name,
         params=dict(model.params),
         r_range=(lo, hi),
         resolution=resolution,
         brackets=brackets,
-        probes=len(consulted),
-        flagged=any(verdicts[r] is None for r in consulted),
+        probes=len(scan) + sum(b.probes for b in brackets),
+        flagged=None in verdicts.values(),
     )
 
 

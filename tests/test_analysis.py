@@ -12,10 +12,21 @@ from tiplab.analysis import (
     estimate_pullback,
     find_roots,
     forward_attraction_test,
+    integrator_config,
     qse_continuation,
 )
 from tiplab.models import NoComovingFrame, TiplabError, make_model, oracle_curve
 from tiplab.tipping import find_critical_rate
+
+
+# True read as max_step=1.0, the string parsed as a number, and None raised
+# TypeError: only the command line used to reject these
+@pytest.mark.parametrize("overrides", [
+    {"max_step": True}, {"abs_tol": None}, {"abs_tol": "1e-6"}, [("abs_tol", 1e-6)],
+], ids=["bool", "none", "string", "non-mapping"])
+def test_integrator_config_rejects_non_numbers(overrides):
+    with pytest.raises(ValueError, match="must map setting names to numbers"):
+        integrator_config(make_model("moving-sn"), overrides)
 
 
 class TestEstimatePullback:

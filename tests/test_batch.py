@@ -1,6 +1,7 @@
 """Batched integration: a member's result does not depend on the batch it
-runs in, a relaxed retry reuses the doublings already integrated, and the
-bisection rounds return what a one-probe-per-midpoint bisection returns."""
+runs in, a relaxed retry reuses the doublings already integrated, the
+bisection rounds return what a one-probe-per-midpoint bisection returns,
+and undecidable rates and extra flips shape the brackets as documented."""
 import numpy as np
 import pytest
 
@@ -442,23 +443,15 @@ def sequential_report(model, r_range, resolution, decide):
 
     brackets = []
     for a, b in raw:
-        before, flagged, nudges = len(cache), False, 0
+        before = len(cache)
         va = predicate(a)
         while b - a > resolution:
             mid = 0.5 * (a + b)
-            vm = predicate(mid)
-            if vm is None:
-                mid = a + (0.4 if nudges % 2 == 0 else 0.6) * (b - a)
-                vm = predicate(mid)
-                nudges += 1
-                if vm is None:
-                    flagged = True
-                    break
-            if vm == va:
+            if predicate(mid) == va:
                 a = mid
             else:
                 b = mid
-        brackets.append(CriticalRateBracket(a, b, _classify(model, a, b), flagged,
+        brackets.append(CriticalRateBracket(a, b, _classify(model, a, b), False,
                                             len(cache) - before))
     return TippingReport(model.name, dict(model.params), r_range, resolution, brackets,
                          len(cache), any(v is None for v in cache.values())).to_dict()
@@ -488,35 +481,76 @@ def test_rounds_match_sequential_bisection(monkeypatch, name, params, r_range, r
     assert report == sequential_report(model, r_range, resolution, decide)
 
 
-@pytest.mark.parametrize("undecidable,flagged,bracket_flagged", [
-    # a speculative midpoint on the side the walk leaves: decided, never read
-    ("far", False, False),
-    # the first midpoint: the walk nudges off it to a point probed alone
-    ("mid", True, False),
-    # the nudged point too: the bracket stops there, flagged
-    ("mid+nudge", True, True),
-])
-def test_rounds_read_only_what_the_walk_reaches(monkeypatch, undecidable, flagged,
-                                                bracket_flagged):
-    model = make_model("moving-sn", mu=0.5)
-    r_range, resolution, rstar = (0.01, 0.2), 1e-3, 0.0625
-    scan = _scan_rates(r_range, resolution)
-    i = int(np.searchsorted(scan, rstar))
-    a, b = float(scan[i - 1]), float(scan[i])
-    mid, nudge = 0.5 * (a + b), a + 0.4 * (b - a)
-    far = 0.5 * (mid + b) if rstar < mid else 0.5 * (a + mid)
-    bad = {"far": {far}, "mid": {mid}, "mid+nudge": {mid, nudge}}[undecidable]
-    verdicts = lambda rates: [None if r in bad else r > rstar for r in rates]
+RSTAR = 0.0625  # moving-sn at mu = 0.5
+R_RANGE = (0.01, 0.2)
+
+
+def rstar_cell(resolution=1e-3):
+    """The cell (a, b) of neighbouring scan rates over R_RANGE holding RSTAR."""
+    scan = _scan_rates(R_RANGE, resolution)
+    i = int(np.searchsorted(scan, RSTAR))
+    return float(scan[i - 1]), float(scan[i])
+
+
+def stubbed_search(monkeypatch, verdict, resolution=1e-3):
+    """find_critical_rate on moving-sn over R_RANGE with ``verdict(r)`` in
+    place of the tipping predicate: the report and the rate batches decided."""
     calls = []
 
     def stub(model, rates, *rest):
         calls.append(list(rates))
-        return verdicts(rates)
+        return [verdict(r) for r in rates]
 
     monkeypatch.setattr(tipping, "_probe_rates", stub)
-    report = find_critical_rate(model, r_range=r_range, resolution=resolution).to_dict()
-    assert report == sequential_report(model, r_range, resolution, verdicts)
-    assert report["flagged"] is flagged
-    assert report["brackets"][0]["flagged"] is bracket_flagged
-    assert {mid, far} <= set(calls[1])
-    assert ([nudge] in calls) is (undecidable != "far")
+    report = find_critical_rate(make_model("moving-sn", mu=0.5), r_range=R_RANGE,
+                                resolution=resolution)
+    return report, calls
+
+
+def test_undecidable_lookahead_flags_only_the_report(monkeypatch):
+    # a level-2 midpoint on the side the bracket leaves reads None
+    a, b = rstar_cell()
+    mid = 0.5 * (a + b)
+    far = 0.5 * (mid + b) if RSTAR < mid else 0.5 * (a + mid)
+    clean, _ = stubbed_search(monkeypatch, lambda r: r > RSTAR)
+    report, calls = stubbed_search(monkeypatch, lambda r: None if r == far else r > RSTAR)
+    assert far in calls[1]
+    assert report.brackets == clean.brackets
+    assert not report.brackets[0].flagged
+    assert not clean.flagged and report.flagged
+
+
+def test_undecidable_midpoint_is_passed_by_its_neighbours(monkeypatch):
+    a, b = rstar_cell()
+    mid, nudge = 0.5 * (a + b), a + 0.4 * (b - a)
+    report, calls = stubbed_search(monkeypatch, lambda r: None if r == mid else r > RSTAR)
+    (bracket,) = report.brackets
+    assert bracket.lower <= RSTAR <= bracket.upper and bracket.width <= 1e-3
+    assert not bracket.flagged and report.flagged
+    assert not any(nudge in rates for rates in calls)
+
+
+def test_undecidable_neighbourhood_leaves_a_flagged_bracket(monkeypatch):
+    report, calls = stubbed_search(
+        monkeypatch, lambda r: None if abs(r - RSTAR) < 3e-3 else r > RSTAR)
+    (bracket,) = report.brackets
+    assert bracket.lower <= RSTAR <= bracket.upper and bracket.width > 1e-3
+    assert bracket.flagged and report.flagged
+    assert len(calls) < 10
+
+
+def test_every_flip_the_lookahead_decides_is_a_bracket(monkeypatch):
+    # within one scan cell (a, b), the verdict also flips on either side of
+    # the level-2 midpoint q beyond r*; the first round decides q and its
+    # level-3 neighbours, so all three flips are seen at once
+    resolution = 1e-4
+    a, b = rstar_cell(resolution)
+    mid = 0.5 * (a + b)
+    q = 0.5 * (mid + b) if RSTAR < mid else 0.5 * (a + mid)
+    half = (b - a) / 16
+    report, _ = stubbed_search(
+        monkeypatch, lambda r: (r > RSTAR) != (abs(r - q) < half), resolution)
+    assert len(report.brackets) == 3
+    for flip, bracket in zip(sorted([RSTAR, q - half, q + half]), report.brackets):
+        assert bracket.lower <= flip <= bracket.upper
+        assert bracket.width <= resolution
