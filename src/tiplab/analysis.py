@@ -127,9 +127,8 @@ def _window_leg(model: ModelSpec, wb: float, entry: tuple, cfg: IntegratorConfig
 
     @functools.cache
     def leg():
-        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, record=True)
-        batch.start([0], y, t, wb, model.rate, resume=resume)
+        batch = Batch(model.rhs, y, t, wb, model.rate, cfg.rel_tol, cfg.abs_tol,
+                      cfg.escape_norm, cfg.min_step, record=True, resume=resume)
         while batch.n_active:
             batch.advance()
         return batch.trajectory(0)
@@ -328,9 +327,9 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     bounds = np.array([edges[r] for r in rates.tolist()])
     # the family's ramp kind; each member brings its rate
     frame = model.comoving.ramp.value if np.isfinite(bounds[:, 1:]).any() else None
-    batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
-                  cfg.escape_norm, cfg.min_step, grid=first.grid, frame=frame)
-    stopped = batch.start(np.arange(len(members)), x0, t0, wb, rates, bounds=bounds)
+    batch = Batch(model.rhs, x0, t0, wb, rates, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm,
+                  cfg.min_step, grid=first.grid, frame=frame, bounds=bounds)
+    stopped = list(batch.final)
     while True:
         for i in stopped:
             job, k = members[i]
@@ -461,8 +460,8 @@ def forward_attraction_test(
     if not np.all(np.isfinite(x0)):
         raise ValueError("probe start states must be finite")
     # every probe is one member of a single batch, sampled on the grid
-    probes = (integrate_members(model.rhs, model.dimension, x0, start, t1, cfg, model.rate,
-                                grid=grid) if offs else None)
+    probes = (integrate_members(model.rhs, x0, start, t1, cfg, model.rate, grid=grid)
+              if offs else None)
 
     traces = []
     any_fail = False

@@ -1,24 +1,27 @@
 """Adaptive explicit integration of nonautonomous ODEs, batched over members.
 
 One in-house Dormand–Prince 5(4) stepper advances N independent members at
-once.  Each member has its own time, step size, step cap, end time and
-status, and steps forward or backward in time; a step keeps its stage sums
-running, each stage added in place into the sums that use it, so every sum
-is added in stage order (no BLAS products) and a member's result does not
-depend on how many other members share its batch or which they are, a batch
-of one included.  The tableau, the step-size controller and the initial-step
+once as one integration: a ``Batch`` starts all its members when it is
+built, and they run toward one end time, all from one side of it (forward
+or backward in time), under one step cap; each member has its own start
+time, rate, step size and status.  A step keeps its stage sums running,
+each stage added in place into the sums that use it, so every sum is added
+in stage order (no BLAS products) and a member's result does not depend on
+how many other members share its batch or which they are, a batch of one
+included.  The tableau, the step-size controller and the initial-step
 heuristic are those of Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980),
 and Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6; the quartic
 dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
-code path: members that are retrying, clipped at their end time or rejected
+code path: members that are retrying, clipped at the end time or rejected
 are told apart by masks, not by branches.  A batch records the steps of all
-its members or of none, samples those that cross its one time grid, which
-may run either way, as their steps cross it (a member may start before the
-grid, and a lone member resumed from its state on entering the grid takes
-the same steps), and ignores their overflow on the way out.  A member that
-starts past the escape norm, or not finite, stops in ``Batch.start``.
-Given a co-moving frame, a scalar member also stops as escaped when it leaves
-its own exit box, which pullbacks set where the flow is proven to diverge.
+its members or of none, samples all of them on its one time grid, which
+ends on the end time and may run either way, as their steps cross it (a
+member may start before the grid, and a lone member resumed from its state
+on entering the grid takes the same steps), and ignores their overflow on
+the way out.  A member that starts past the escape norm, or not finite,
+stops as the batch is built.  Given a co-moving frame, a scalar member also
+stops as escaped when it leaves its own exit box, which pullbacks set where
+the flow is proven to diverge.
 
 ``integrate`` is the one-member case.  It records every accepted step for a
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
@@ -241,158 +244,138 @@ class Trajectory:
 
 
 # The per-member arrays of a Batch, one entry per active member.
-_MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "t_bound",
-                  "direction", "max_step", "rate", "slot", "pos", "next_t", "bounds")
+_MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "rate", "slot", "pos",
+                  "next_t", "bounds")
 
 
 class Batch:
-    """Members of one ODE stepped together by the Dormand–Prince 5(4) pair.
+    """One integration of the members of one ODE by the Dormand–Prince 5(4) pair.
 
     ``rhs(X, T, R)`` evaluates the field at states X[n, d], times T[n] and
-    rates R[n].  ``start`` adds members with a fresh initial step, or with
-    a kept one; ``advance`` makes one step attempt for every active member,
-    all on one code path, and returns the ids of those
-    that stopped, whose ``(status, t, y)`` then sit in ``final``.  Only
-    ``start`` stops a member that starts at or past ``escape_norm`` (at t0,
-    with no step), a lone ``integrate`` included.  A member stops
-    when it reaches its end time (``completed``), when its state norm
-    reaches ``escape_norm`` or stops being finite (``escaped``), or when its
-    step underflows: below ten units in the last place of t on a retry, or
-    below ``min_step`` away from the end time (``step_underflow``).  With
-    ``record`` every member keeps every accepted step for ``trajectory``.
-    On a ``grid`` that runs forward or backward, a member that ends on
-    ``grid[-1]``, from a start on ``grid[0]`` or before it as the grid runs,
-    gets, from each accepted step from t to t_new, the dense output at the
-    grid points from t up to, not at, t_new, and from the step that reaches
-    the end time at all points left: the step and arithmetic
-    ``Trajectory.eval`` would use.  It takes a pool row on its first step
-    onto the grid, keeps its (t, y, f, h_abs, rejected) from just before
-    that step, as one-member arrays, in ``entries`` and, if it completes,
-    leaves its curve in ``samples``.  Only the steps that cover a grid point
-    are sampled: each sampled member keeps the time of its next grid point.
+    rates R[n].  The constructor starts every member: member i at (t0[i],
+    x0[i]) with rate[i] (t0 and ``rate`` broadcast), from a fresh initial
+    step or from the one ``resume`` keeps; all run toward the one end time
+    t1, from one side of it, under one step cap ``max_step``.  ``advance``
+    makes one step attempt for every active member, all on one code path,
+    and returns the ids of those that stopped, whose ``(status, t, y)`` then
+    sit in ``final``, as does, from construction, a member that starts at
+    or past ``escape_norm`` or not finite.  A member stops when it reaches
+    t1 (``completed``), when its state norm reaches ``escape_norm`` or stops
+    being finite (``escaped``), or when its step underflows: below ten units
+    in the last place of t on a retry, or below ``min_step`` away from t1
+    (``step_underflow``).  With ``record`` every member keeps every accepted
+    step for ``trajectory``.  A ``grid`` ends on t1, runs forward or
+    backward, and samples every member, which must start on ``grid[0]`` or
+    before it as the grid runs: each accepted step from t to t_new writes
+    the dense output at the grid points from t up to, not at, t_new, and the
+    step that reaches t1 at all points left: the step and arithmetic
+    ``Trajectory.eval`` would use.  A member takes a pool row on its first
+    step onto the grid, keeps its (t, y, f, h_abs, rejected) from just
+    before that step, as one-member arrays, in ``entries`` and, if it
+    completes, leaves its curve in ``samples``.  Only the steps that cover a
+    grid point are sampled: each member keeps the time of its next one.
 
     With ``frame(T, R)``, the ramp λ at times T[n] and rates R[n], a scalar
-    member that ``start`` gave ``bounds = (gain, lo, hi)`` also stops as
-    ``escaped`` on an accepted step that leaves x - gain·λ outside (lo, hi).
-    The caller keeps an edge at -inf or inf unless the flow beyond it is
-    proven to diverge (see ``analysis.run_pullbacks``); each member is
-    checked on its own, so the test does not tie it to its batch.  Members
-    overflow on their way out; ``start`` and ``advance`` ignore it, so
-    callers need no ``np.errstate``.
+    member whose ``bounds`` row is (gain, lo, hi) also stops as ``escaped``
+    on an accepted step that leaves x - gain·λ outside (lo, hi).  The caller
+    keeps an edge at -inf or inf unless the flow beyond it is proven to
+    diverge (see ``analysis.run_pullbacks``); each member is checked on its
+    own, so the test does not tie it to its batch.  Members overflow on
+    their way out; the batch ignores it, so callers need no ``np.errstate``.
+    A batch with no members, with members on both sides of t1 or at it, with
+    a grid that does not end on t1 or with a member that starts after
+    ``grid[0]`` raises ``ValueError``.
     """
 
-    def __init__(self, rhs, dim: int, rtol: float, atol: float,
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def __init__(self, rhs, x0, t0, t1: float, rate, rtol: float, atol: float,
                  escape_norm: float = math.inf, min_step: float = 0.0,
-                 grid=None, record: bool = False, frame=None):
+                 max_step: float = math.inf, grid=None, record: bool = False, frame=None,
+                 bounds=(0.0, -math.inf, math.inf), resume=None):
+        x0 = np.asarray(x0, dtype=float)
+        n = len(x0)
+        if not n:
+            raise ValueError("a batch needs at least one member")
+        t0, rate = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (t0, rate))
+        self.direction = 1.0 if t0[0] < t1 else -1.0
+        if not np.all(self.direction * (t1 - t0) > 0):
+            raise ValueError("every member must start on the same side of t1, not at it")
         self.rhs = rhs
-        self.dim = dim
         self.rtol = rtol
         self.atol = atol
         self.escape_norm = escape_norm
         self.min_step = min_step
-        # the member arrays, empty (so shared) until ``start`` adds members
-        self.ids = self.slot = self.pos = np.empty(0, dtype=np.intp)
-        self.t = self.h_abs = self.t_bound = self.direction = np.empty(0)
-        self.max_step = self.rate = self.next_t = np.empty(0)
-        self.y, self.f = np.empty((0, dim)), np.empty((0, dim))
-        self.rejected, self.bounds = np.empty(0, dtype=bool), np.empty((0, 3))
+        self.max_step = max_step
+        self.t1 = t1
         self.frame = frame
-        self.final: dict[int, tuple[str, float, np.ndarray]] = {}
-        self.samples: dict[int, np.ndarray] = {}
-        self.entries: dict[int, tuple] = {}
-        self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        self._n = 0 if grid is None else len(self.grid)
+        self.record = record
+        self.grid = np.asarray([] if grid is None else grid, dtype=float)
+        self._n = len(self.grid)
         # a grid that runs backward is searched by -t, on its ascending -grid
-        self._back = grid is not None and self.grid[-1] < self.grid[0]
+        self._back = self._n > 0 and self.grid[-1] < self.grid[0]
+        if self._n and self.grid[-1] != t1:
+            raise ValueError("the grid must end on t1")
+        if self._n and np.any((t0 < self.grid[0]) if self._back else (t0 > self.grid[0])):
+            raise ValueError("every member must start on grid[0] or before it")
         self._keys = -self.grid if self._back else self.grid
         # grid times by index, then the infinity past the grid's end: a
         # member's next grid time at pos, which is _n once it needs no more
-        self._next_of = np.append(self.grid if self._n else [],
-                                  -math.inf if self._back else math.inf)
-        self.record = record
+        self._next_of = np.append(self.grid, -math.inf if self._back else math.inf)
+        self.final: dict[int, tuple[str, float, np.ndarray]] = {}
+        self.samples: dict[int, np.ndarray] = {}
+        self.entries: dict[int, tuple] = {}
         # sample pool: samples by slot, and the free slots
-        self._curve = np.empty((0, self._n, dim))
+        self._curve = np.empty((0, self._n, x0.shape[1]))
         self._free: list[int] = []
         # each member's start and accepted steps, when recording: (t, y, K)
-        self._steps: dict[int, list[tuple]] = {}
+        self._steps: dict[int, list[tuple]] = {
+            j: [(float(t0[j]), x0[j].copy(), None)] for j in range(n) if record}
+        if resume is None:
+            f0, h_abs = self._initial_step(x0, t0, rate)
+            rejected = np.zeros(n, dtype=bool)
+        else:
+            f0, h_abs, rejected = resume
+        out = ~(_norm2(x0) < escape_norm)
+        for j in np.flatnonzero(out).tolist():
+            self.final[j] = (ESCAPED, float(t0[j]), x0[j].copy())
+        # a member takes its pool row on its first step onto the grid; with
+        # no grid, its pos of 0 is _n: it samples nothing
+        pos = np.zeros(n, dtype=np.intp)
+        new = (np.arange(n), t0, x0, f0, h_abs, rejected, rate, np.full(n, -1, dtype=np.intp),
+               pos, self._next_of[pos], np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3)))
+        for name, values in zip(_MEMBER_ARRAYS, new):
+            setattr(self, name, values[~out])
 
     @property
     def n_active(self) -> int:
         return len(self.ids)
 
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def start(self, ids, x0, t0, t1, rate=0.0, max_step=math.inf,
-              bounds=(0.0, -math.inf, math.inf), resume=None) -> list[int]:
-        """Start members ``ids`` at (t0, x0) toward t1 (all t1 != t0).
-
-        A member that ends on the last grid point is sampled; it must start
-        on the first or before it, as the grid runs.  ``bounds`` rows (gain,
-        lo, hi) are the members' exit boxes when the batch has a ``frame``.
-        ``resume``, the members' (f[n, d], h_abs[n], rejected[n]) as kept in
-        ``entries``, stands in for the initial step, so that they step on as
-        they did.  Returns the ids that stopped at once, their norm already
-        at or above ``escape_norm``, or not finite.
-        """
-        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
-        n = len(ids)
-        x0 = np.asarray(x0, dtype=float).reshape(n, self.dim)
-        t0, t1, rate, max_step = (
-            np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
-            for v in (t0, t1, rate, max_step)
-        )
-        bounds = np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3))
-        direction = np.where(t1 > t0, 1.0, -1.0)
-        pos = np.full(n, self._n, dtype=np.intp)
-        if self._n:
-            sampled = t1 == self.grid[-1]
-            if np.any(sampled & ((t0 < self.grid[0]) if self._back else (t0 > self.grid[0]))):
-                raise ValueError("a member that ends on the last grid point must start "
-                                 "on the first or before it")
-            pos[sampled] = 0
-        if self.record:
-            for j in range(n):
-                self._steps[int(ids[j])] = [(float(t0[j]), x0[j].copy(), None)]
-        if resume is None:
-            f0, h_abs = self._initial_step(x0, t0, t1, rate, max_step, direction)
-            rejected = np.zeros(n, dtype=bool)
-        else:
-            f0, h_abs, rejected = resume
-        out = ~(_norm2(x0) < self.escape_norm)
-        for j in np.flatnonzero(out):
-            self.final[int(ids[j])] = (ESCAPED, float(t0[j]), x0[j].copy())
-        # a sampled member takes its pool row on its first step onto the grid
-        new = (ids, t0, x0, f0, h_abs, rejected, t1, direction, max_step, rate,
-               np.full(n, -1, dtype=np.intp), pos, self._next_of[pos], bounds)
-        for name, values in zip(_MEMBER_ARRAYS, new):
-            setattr(self, name, np.concatenate((getattr(self, name), values[~out])))
-        return ids[out].tolist()
-
-    def _initial_step(self, y0, t0, t1, rate, max_step, direction):
+    def _initial_step(self, y0, t0, rate):
         """First derivative and the Hairer–Nørsett–Wanner starting step."""
         f0 = self.rhs(y0, t0, rate)
-        interval = np.abs(t1 - t0)
+        interval = np.abs(self.t1 - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms(y0 / scale)
         d1 = _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, interval)
-        y1 = y0 + (h0 * direction)[:, None] * f0
-        f1 = self.rhs(y1, t0 + h0 * direction, rate)
+        y1 = y0 + (h0 * self.direction)[:, None] * f0
+        f1 = self.rhs(y1, t0 + h0 * self.direction, rate)
         d2 = _rms((f1 - f0) / scale) / h0
         h1 = np.where(
             (d1 <= 1e-15) & (d2 <= 1e-15),
             np.maximum(1e-6, h0 * 1e-3),
             (0.01 / np.maximum(d1, d2)) ** 0.2,
         )
-        return f0, np.minimum(np.minimum(np.minimum(100 * h0, h1), interval), max_step)
+        return f0, np.minimum(np.minimum(np.minimum(100 * h0, h1), interval), self.max_step)
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def advance(self) -> list[int]:
         """One step attempt for every active member; returns stopped ids."""
         t, y, f, d, rej = self.t, self.y, self.f, self.direction, self.rejected
         # a retry keeps its shrunk step, and fails once that is below ten
-        # units in the last place of t toward t_bound (not yet reached)
-        min_step = 10 * np.abs(np.nextafter(t, self.t_bound) - t)
+        # units in the last place of t toward t1 (not yet reached)
+        min_step = 10 * np.abs(np.nextafter(t, self.t1) - t)
         h_abs = np.where(rej, self.h_abs,
                          np.minimum(np.maximum(self.h_abs, min_step), self.max_step))
         fail = rej & (h_abs < min_step)
@@ -401,13 +384,13 @@ class Batch:
             return self._stop(j, [STEP_UNDERFLOW] * len(j))
 
         t_new = t + h_abs * d
-        t_new = np.where(d * (t_new - self.t_bound) > 0, self.t_bound, t_new)
+        t_new = np.where(d * (t_new - self.t1) > 0, self.t1, t_new)
         h = t_new - t
         h_abs = np.abs(h)
         H = h[:, None]
         R = self.rate
         T = t + np.multiply.outer(_C, h)
-        K = np.empty((7, len(t), self.dim))
+        K = np.empty((7,) + y.shape)
         S = np.empty_like(K)
         # each stage, once evaluated, is weighted into the sums it feeds
         K[0] = f
@@ -423,7 +406,7 @@ class Batch:
         err_norm = _rms(err / scale)
         factor = _SAFETY * err_norm ** _ERR_EXP
         ok = err_norm < 1
-        at_end = t_new == self.t_bound
+        at_end = t_new == self.t1
         # a step covers a grid point when it passes the next one or ends the
         # leg; it is sampled before the member's state moves on
         passed = (t_new < self.next_t) if self._back else (t_new > self.next_t)
@@ -446,7 +429,7 @@ class Batch:
 
         # An accepted step stops its member on an escape (past the escape
         # norm, or out of its exit box), else on a step underflow short of
-        # t_bound, else when it ends at t_bound exactly.
+        # t1, else when it ends at t1 exactly.
         esc = ~(_norm2(y_new) < self.escape_norm)
         if self.frame is not None:
             gain, lo, hi = self.bounds.T
@@ -454,7 +437,7 @@ class Batch:
             esc |= (u < lo) | (u > hi)
         under = self.h_abs < self.min_step
         if np.count_nonzero(under):
-            under &= np.abs(self.t_bound - t_new) > self.min_step
+            under &= np.abs(self.t1 - t_new) > self.min_step
         j = (ok & (esc | under | at_end)).nonzero()[0]
         if not len(j):
             return []
@@ -528,7 +511,7 @@ class Batch:
         status, t_end, _ = self.final[i]
         times, states, K = zip(*self._steps.pop(i))
         coeffs = (_coeffs(np.stack(K[1:], axis=1)) if len(K) > 1
-                  else np.empty((0, self.dim, 4)))
+                  else np.empty((0, self.y.shape[1], 4)))
         return Trajectory(
             np.array(times), np.array(states), status,
             underflow_time=t_end if status == STEP_UNDERFLOW else None,
@@ -546,7 +529,7 @@ def _zero_in(g, a: float, b: float) -> float:
     return m
 
 
-def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: float):
+def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig):
     """Bracket the blow-up time after the escape norm was crossed.
 
     The crossing instant inside the last accepted step, bisected on that
@@ -572,10 +555,10 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     # Loose tolerances here: only the blow-up *time* matters, and step-size
     # control still contracts geometrically toward the singularity.  Tight
     # tolerances would need tens of thousands of steps to reach overflow.
-    t_esc = traj.t_end
+    t_esc, direction = traj.t_end, traj.direction
     ext = max(10 * cfg.max_step, 1e3 * abs(t_esc - t_cross))
-    probe = Batch(rhs, traj.states.shape[1], rtol=1e-3, atol=max(1.0, cfg.abs_tol))
-    probe.start([0], traj.final_state, t_esc, t_esc + direction * ext, max_step=cfg.max_step)
+    probe = Batch(rhs, traj.states[-1:], t_esc, t_esc + direction * ext, 0.0, rtol=1e-3,
+                  atol=max(1.0, cfg.abs_tol), max_step=cfg.max_step)
     attempts = 0
     while probe.n_active and attempts < _REFINE_MAX_STEPS:
         probe.advance()
@@ -596,21 +579,21 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig, direction: flo
     return (lo, hi), singular
 
 
-def integrate_members(rhs, dim: int, x0: np.ndarray, t0: float, t1: float,
-                      cfg: IntegratorConfig, rate: float = 0.0, record: bool = False,
-                      grid=None) -> Batch:
-    """Integrate the members x0[i] of one field from t0 to t1 (t1 != t0) as
-    one batch.
+def integrate_members(rhs, x0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig,
+                      rate: float = 0.0, record: bool = False, grid=None) -> Batch:
+    """Integrate the members x0[i] (x0[n, d], n >= 1) of one field from t0
+    to t1 (t1 != t0) as one batch, under ``cfg``'s tolerances, escape norm,
+    minimum step and step cap.
 
-    ``rhs`` is a ``Batch`` rhs, called with ``rate`` as R; ``grid`` and
-    ``record`` are the batch's.  Returns the stopped batch: member i's
-    ``final``, its ``samples`` on ``grid`` (running from t0 to t1) when it
-    completed, or with ``record`` its ``trajectory``, whose dense output
-    ends, on an escape, where it crossed ``cfg.escape_norm``.
+    ``rhs`` is a ``Batch`` rhs, called with ``rate`` as R; ``grid``, which
+    runs from t0 to t1 and samples every member, and ``record`` are the
+    batch's.  Returns the stopped batch: member i's ``final``, its
+    ``samples`` on ``grid`` when it completed, or with ``record`` its
+    ``trajectory``, whose dense output ends, on an escape, where it crossed
+    ``cfg.escape_norm``.
     """
-    batch = Batch(rhs, dim, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm, cfg.min_step,
-                  grid, record)
-    batch.start(np.arange(len(x0)), x0, t0, t1, rate, cfg.max_step)
+    batch = Batch(rhs, x0, t0, t1, rate, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm,
+                  cfg.min_step, cfg.max_step, grid, record)
     while batch.n_active:
         batch.advance()
     return batch
@@ -628,8 +611,8 @@ def integrate(
     Terminates early with status ``escaped`` when the state norm reaches
     ``cfg.escape_norm`` (with a blow-up time bracket) or ``step_underflow``
     when step control drives the step below ``cfg.min_step`` without an
-    escape event.  A start state already past the escape norm, which
-    ``Batch.start`` stops, gives a one-sample ``escaped`` trajectory with
+    escape event.  A start state already past the escape norm, which the
+    ``Batch`` stops at construction, gives a one-sample ``escaped`` trajectory with
     bracket (t0, t0), ``bracket_verified`` False and no dense output.
     """
     cfg = cfg or IntegratorConfig()
@@ -643,12 +626,9 @@ def integrate(
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
     rhs = _member_rhs(field)
-    traj = integrate_members(rhs, field.dimension, x0[None, :], t0, t1, cfg,
-                             record=True).trajectory(0)
+    traj = integrate_members(rhs, x0[None, :], t0, t1, cfg, record=True).trajectory(0)
     if traj.status == ESCAPED and len(traj.times) == 1:  # started past the escape norm
         traj.escape_bracket, traj.bracket_verified = (t0, t0), False
     elif traj.status == ESCAPED:
-        traj.escape_bracket, traj.bracket_verified = _escape_bracket(
-            rhs, traj, cfg, 1.0 if t1 > t0 else -1.0
-        )
+        traj.escape_bracket, traj.bracket_verified = _escape_bracket(rhs, traj, cfg)
     return traj

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -211,7 +212,11 @@ def _scalar(fn):
 
 
 def make_drift(r: float = 0.5) -> ModelSpec:
-    """dx/dt = -(x - exp(rt)): drifts from its QSE but never tips."""
+    """dx/dt = -(x - exp(rt)): drifts from its QSE but never tips.
+
+    Its attractor e^{rt}/(1+r) and co-moving gain 1/(1+r) need r != -1."""
+    if r == -1.0:
+        raise ValueError("drift needs r != -1, where its attractor e^(rt)/(1+r) is undefined")
     ramp = RampDescriptor("exponential", r)
 
     def rhs(X, T, R):
@@ -530,7 +535,8 @@ _PARAMS = {name: frozenset(inspect.signature(f).parameters) for name, f in _FACT
 
 
 def make_model(name: str, **params) -> ModelSpec:
-    """Build a catalog model by name with parameter assignments."""
+    """Build a catalog model by name with parameter assignments, each a
+    real number (not a bool, a string or None)."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -538,6 +544,9 @@ def make_model(name: str, **params) -> ModelSpec:
     unknown = set(params) - _PARAMS[name]
     if unknown:
         raise TiplabError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TiplabError(f"parameter {key!r} of {name} must be a number, got {value!r}")
     return factory(**params)
 
 

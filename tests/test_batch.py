@@ -137,25 +137,23 @@ def test_forward_probes_match_lone_integration():
     ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2}, [[1.0, 0.5], [0.5, -0.2]], 8.0),
 ])
 def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
-    # a member steps bitwise alike alone and in a batch; a companion with a
-    # later end time keeps the batch above one member to the end.  The step
-    # cap is raised so that error control sets every step.
+    # a member steps bitwise alike alone and in a batch; a companion with an
+    # earlier start time keeps the batch above one member to the end.  The
+    # step cap is raised so that error control sets every step.
     model = make_model(name, **params)
     cfg = integrator_config(model, {"max_step": 100.0})
 
-    def run(x0s, t1s):
-        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, record=True)
-        ids = np.arange(len(x0s))
-        batch.start(ids, np.array(x0s, dtype=float), 0.0, t1s, model.rate, cfg.max_step)
+    def run(x0s, t0s):
+        batch = Batch(model.rhs, np.array(x0s, dtype=float), t0s, t1, model.rate, cfg.rel_tol,
+                      cfg.abs_tol, cfg.escape_norm, cfg.min_step, cfg.max_step, record=True)
         while batch.n_active:
             batch.advance()
-        return [batch.trajectory(i) for i in ids]
+        return [batch.trajectory(i) for i in range(len(x0s))]
 
     companion = [0.0] * model.dimension
-    together = run(x0s + [companion], [t1] * len(x0s) + [10.0 * t1])
+    together = run(x0s + [companion], [0.0] * len(x0s) + [-9.0 * t1])
     for x0, batched in zip(x0s, together):
-        (alone,) = run([x0], [t1])
+        (alone,) = run([x0], 0.0)
         assert alone.status == batched.status
         assert np.array_equal(alone.times, batched.times)
         assert np.array_equal(alone.states, batched.states)
@@ -185,10 +183,10 @@ def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense
     grid = np.linspace(0.0, t1, 201)
 
     def run(x0s):
-        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, grid=grid, record=True)
-        ids = np.arange(len(x0s))
-        batch.start(ids, np.array(x0s, dtype=float), 0.0, t1, model.rate, cfg.max_step)
+        batch = Batch(model.rhs, np.array(x0s, dtype=float), 0.0, t1, model.rate, cfg.rel_tol,
+                      cfg.abs_tol, cfg.escape_norm, cfg.min_step, cfg.max_step, grid=grid,
+                      record=True)
+        ids = range(len(x0s))
         while batch.n_active:
             batch.advance()
         assert all(batch.final[i][0] == "completed" for i in ids)
@@ -220,15 +218,15 @@ def test_sampling_skips_steps_that_cover_no_grid_point(monkeypatch):
 
     monkeypatch.setattr(Batch, "_sample", checked)
     x0 = np.array([[0.9], [0.6]])
-    batch = Batch(model.rhs, 1, 1e-9, 1e-9, grid=grid, record=True)
-    batch.start([0, 1], x0, 0.0, 4.0, model.rate, 0.005)
+    batch = Batch(model.rhs, x0, 0.0, 4.0, model.rate, 1e-9, 1e-9, max_step=0.005, grid=grid,
+                  record=True)
     while batch.n_active:
         batch.advance()
     steps = [len(batch.trajectory(i).times) - 1 for i in (0, 1)]
     assert len(calls) < min(steps) and min(steps) >= 800
     cfg = integrator_config(model, {"max_step": 0.005})
     for i in (0, 1):
-        alone = integrate_members(model.rhs, 1, x0[i:i + 1], 0.0, 4.0, cfg, model.rate,
+        alone = integrate_members(model.rhs, x0[i:i + 1], 0.0, 4.0, cfg, model.rate,
                                   record=True).trajectory(0)
         assert np.array_equal(batch.samples[i], alone.eval(grid))
 
@@ -246,8 +244,8 @@ def test_exit_box_stops_only_its_own_member():
     x0 = np.array([[-1.8], [-1.8], [0.5]])
 
     def run(ids):
-        batch = Batch(model.rhs, 1, 1e-9, 1e-9, escape_norm=1e6, frame=model.ramp.value)
-        batch.start(ids, x0[ids], 0.0, 4.0, rates[ids], 0.1, bounds=bounds[ids])
+        batch = Batch(model.rhs, x0[ids], 0.0, 4.0, rates[ids], 1e-9, 1e-9, escape_norm=1e6,
+                      max_step=0.1, frame=model.ramp.value, bounds=bounds[ids])
         advances = 0
         while batch.n_active:
             batch.advance()
@@ -259,7 +257,7 @@ def test_exit_box_stops_only_its_own_member():
     assert abs(together[0][2][0]) < 2.0 and abs(together[1][2][0]) >= 1e6
     for i in range(3):
         alone, advances = run(np.array([i]))
-        status, t, y = alone[i]
+        status, t, y = alone[0]
         assert (status, t, y.tobytes()) == (together[i][0], together[i][1],
                                             together[i][2].tobytes())
         if i == 0:
@@ -268,22 +266,44 @@ def test_exit_box_stops_only_its_own_member():
 
 @pytest.mark.parametrize("t0", [0.5, -1.0])
 def test_member_ending_on_the_grid_must_start_at_or_before_it(t0):
-    # a member that ends on the grid's last point is sampled, which needs it
-    # to cover the whole grid: one that starts after grid[0] is refused, one
-    # that starts before it is sampled; other end times are not sampled
+    # a batch samples every member on its grid, which needs each to cover the
+    # whole grid: one that starts after grid[0] is refused, one that starts
+    # before it is sampled; a grid that ends off the end time is refused
     model = make_model("moving-sn", mu=0.5, r=0.03)
-    batch = Batch(model.rhs, 1, 1e-9, 1e-9, grid=np.linspace(0.0, 4.0, 201))
+    grid = np.linspace(0.0, 4.0, 201)
     if t0 > 0.0:
-        with pytest.raises(ValueError, match="last grid point"):
-            batch.start([0, 1], [[0.5], [0.5]], [0.0, t0], 4.0, model.rate)
+        with pytest.raises(ValueError, match="grid\\[0\\] or before it"):
+            Batch(model.rhs, [[0.5], [0.5]], [0.0, t0], 4.0, model.rate, 1e-9, 1e-9, grid=grid)
     else:
-        batch.start([2], [[0.5]], t0, 4.0, model.rate)
+        batch = Batch(model.rhs, [[0.5]], t0, 4.0, model.rate, 1e-9, 1e-9, grid=grid)
         assert len(batch._curve) == 0  # no pool row before the grid
-    batch.start([0], [[0.5]], t0, 3.0, model.rate)
-    while batch.n_active:
-        batch.advance()
-    assert batch.final[0][0] == "completed"
-    assert list(batch.samples) == ([] if t0 > 0.0 else [2])
+        while batch.n_active:
+            batch.advance()
+        assert batch.final[0][0] == "completed"
+        assert list(batch.samples) == [0]
+    with pytest.raises(ValueError, match="end on t1"):
+        Batch(model.rhs, [[0.5]], t0, 3.0, model.rate, 1e-9, 1e-9, grid=grid)
+
+
+@pytest.mark.parametrize("x0,t0,t1,grid,match", [
+    # members on both sides of the end time, or one at it
+    ([[0.5], [0.5]], [0.0, 5.0], 4.0, None, "same side of t1"),
+    ([[0.5], [0.5]], [0.0, 4.0], 4.0, None, "same side of t1"),
+    ([[0.5]], -4.0, -4.0, None, "same side of t1"),
+    # a grid that ends off the end time, either way it runs
+    ([[0.5]], 0.0, 4.0, np.linspace(0.0, 3.0, 31), "end on t1"),
+    ([[0.5]], 0.0, -4.0, np.linspace(0.0, -3.0, 31), "end on t1"),
+    # a grid that runs against the batch's direction of time
+    ([[0.5]], 0.0, 4.0, np.linspace(8.0, 4.0, 41), "before it"),
+    # no members
+    (np.empty((0, 1)), 0.0, 4.0, None, "at least one member"),
+])
+def test_batch_refuses_what_is_not_one_integration(x0, t0, t1, grid, match):
+    # a batch is one integration: at least one member, all toward one end
+    # time from one side of it, on a grid, if any, that ends there
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    with pytest.raises(ValueError, match=match):
+        Batch(model.rhs, x0, t0, t1, model.rate, 1e-9, 1e-9, grid=grid)
 
 
 @pytest.mark.parametrize("sense", ["attracting", "repelling"])
@@ -305,24 +325,23 @@ def test_member_starting_before_the_grid_samples_its_dense_output(name, params, 
     t0s, t1 = -s * np.array([3.0, 0.25]), 4.0 * s
     grid = np.linspace(0.0, t1, 201)
 
-    def run(ids, x0, t0, **resume):
-        batch = Batch(model.rhs, model.dimension, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, grid=grid, record=True)
-        batch.start(ids, x0, t0, t1, model.rate, **resume)
+    def run(x0, t0, **resume):
+        batch = Batch(model.rhs, x0, t0, t1, model.rate, cfg.rel_tol, cfg.abs_tol,
+                      cfg.escape_norm, cfg.min_step, grid=grid, record=True, **resume)
         while batch.n_active:
             batch.advance()
-        assert all(batch.final[i][0] == "completed" for i in ids)
+        assert all(batch.final[i][0] == "completed" for i in range(len(x0)))
         return batch
 
-    together = run([0, 1], x0s, t0s)
+    together = run(x0s, t0s)
     for i in (0, 1):
-        alone = run([i], x0s[i:i + 1], t0s[i])
-        traj = alone.trajectory(i)
+        alone = run(x0s[i:i + 1], t0s[i])
+        traj = alone.trajectory(0)
         assert np.array_equal(together.samples[i], traj.eval(grid))
-        assert np.array_equal(alone.samples[i], together.samples[i])
+        assert np.array_equal(alone.samples[0], together.samples[i])
         t, y, *resume = together.entries[i]
         assert s * t[0] <= 0.0 < s * traj.times[np.searchsorted(s * traj.times, s * t[0]) + 1]
-        resumed = run([i], y, t, resume=resume).trajectory(i)
+        resumed = run(y, t, resume=resume).trajectory(0)
         assert np.array_equal(resumed.eval(grid), together.samples[i])
         tail = traj.times[-len(resumed.times):]
         assert np.array_equal(resumed.times, tail)
@@ -342,8 +361,7 @@ def test_batch_steps_through_overflow_without_warning():
     # rhs overflows at once: the batch ignores it (warnings are errors here)
     # and stops the member once its step underflows
     model = make_model("moving-sn", mu=0.5, r=0.1)
-    batch = Batch(model.rhs, 1, 1e-3, 1.0)
-    batch.start([0], [[-1e150]], 0.0, 1.0, model.rate)
+    batch = Batch(model.rhs, [[-1e150]], 0.0, 1.0, model.rate, 1e-3, 1.0)
     while batch.n_active:
         batch.advance()
     assert batch.final[0][0] == "step_underflow"
@@ -351,7 +369,7 @@ def test_batch_steps_through_overflow_without_warning():
 
 def test_pullback_member_starting_past_the_escape_norm():
     # p = 3 at r = 3: the doubling k = 12 starts at a norm of about 1.85e12,
-    # past the model's escape norm of 1e12, so Batch.start stops it before
+    # past the model's escape norm of 1e12, so its Batch stops it before
     # any step; the estimate converges on 7 start times without it, exactly
     # as it does with a lookback where no member starts past the norm
     model = make_model("moving-pitchfork", p=3, r=3.0)

@@ -283,6 +283,9 @@ class TestInvalidInput:
         (["pullback", "--model", "drift"], {"window": [True, 4]}),
         (["tip", "--model", "drift", "--r-range", "0.5,2"], {"resolution": True}),
         (["simulate", "--model", "drift", "--samples", "0"], None),
+        (["simulate", "--model", "drift", "--set", "r=-1"], None),
+        (["sweep", "--model", "drift", "--rates=-1,0.5"], None),
+        (["tip", "--model", "drift", "--r-range=-1,0.5"], None),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
             "integrator-type", "integrator-bool", "config-window-length", "config-x0-length",
@@ -292,7 +295,8 @@ class TestInvalidInput:
             "threads-zero", "threads-negative", "rate-nan", "rate-infinite",
             "mu-infinite", "mu-nan", "lambda-max-nan", "degree-fraction",
             "config-samples-fraction", "config-samples-bool", "config-window-bool",
-            "config-resolution-bool", "samples-zero"])
+            "config-resolution-bool", "samples-zero", "drift-rate-minus-one",
+            "sweep-drift-rate-minus-one", "tip-drift-rate-minus-one"])
     def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
         if analysis is not None:
             cfg = tmp_path / "cfg.json"
@@ -302,6 +306,24 @@ class TestInvalidInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["pullback", "qse", "simulate"])
+    @pytest.mark.parametrize("model,params", [
+        ("moving-sn", {"r": "0.03"}),
+        ("moving-cubic", {"r": "0.03"}),
+        ("bounded-ramp-sn", {"r": "0.03"}),
+        ("moving-sn", {"mu": True}),
+        ("drift", {"r": None}),
+    ], ids=["sn-rate-string", "cubic-rate-string", "bounded-rate-string", "sn-mu-bool",
+            "drift-rate-null"])
+    def test_config_params_must_be_numbers(self, capsys, tmp_path, command, model, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "params": params}))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(next(iter(params))) in err
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "figure", "--which", "fig4",

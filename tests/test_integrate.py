@@ -223,12 +223,11 @@ def test_batch_step_adds_stages_in_order(name, params, x0, t0, h_abs, direction)
             seen.append((X[member].tolist(), float(T[member])))
             return model.rhs(X, T, R)
 
-        batch = Batch(rhs, model.dimension, 1e-5, 1e-5)
         X = np.array(x0s)
         T0 = t0 + np.arange(len(X)) - member
         F = model.rhs(X, T0, np.full(len(X), r))
-        batch.start(np.arange(len(X)), X, T0, T0 + t1 - t0, r,
-                    resume=(F, np.full(len(X), h_abs), np.zeros(len(X), dtype=bool)))
+        batch = Batch(rhs, X, T0, t1, r, 1e-5, 1e-5,
+                      resume=(F, np.full(len(X), h_abs), np.zeros(len(X), dtype=bool)))
         assert batch.advance() == []
         assert seen == inputs
         assert not batch.rejected[member]

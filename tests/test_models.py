@@ -96,6 +96,26 @@ class TestCatalog:
         with pytest.raises(ValueError, match="whole number"):
             make_model("moving-pitchfork", p=p)
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("value", ["0.03", True, False, None, 1j])
+    def test_params_must_be_real_numbers(self, name, value):
+        # a string, a bool or None is not read as a number: it is refused by
+        # name before the model is built
+        for key in ("r", "mu") if name != "drift" else ("r",):
+            with pytest.raises(TiplabError, match=f"parameter '{key}' of {name}"):
+                make_model(name, **{key: value})
+
+    def test_numpy_numbers_accepted(self):
+        m = make_model("moving-pitchfork", mu=np.float64(0.5), p=np.int64(2), r=np.float32(0.25))
+        assert m.params == {"r": 0.25, "mu": 0.5, "p": 2}
+
+    @pytest.mark.parametrize("r", [-1.0, -1])
+    def test_drift_rate_minus_one_rejected(self, r):
+        # the co-moving gain 1/(1+r) and the attractor e^{rt}/(1+r) are undefined
+        with pytest.raises(ValueError, match="r != -1"):
+            make_model("drift", r=r)
+        assert make_model("drift", r=-1.5).comoving.gain[0] == -2.0
+
     def test_whole_float_ramp_degree_accepted(self):
         assert make_model("moving-pitchfork", p=2.0).params["p"] == 2
 
