@@ -3,7 +3,8 @@ attraction diagnostics.
 
 Pullback curves are estimated by pushing the start time geometrically far
 into the past and integrating forward through a fixed observation window,
-each start time as one error-controlled leg sampled on the window; the
+each start time as one error-controlled leg sampled on the window, whose
+steps through the window the batch logs for the curve's dense output; the
 repelling sense reuses the same machinery on the model's own field, starting
 far in the future and stepping backward in time.
 Forward-attraction and end-point-tracking are finite-horizon tests that
@@ -94,10 +95,10 @@ class PullbackEstimate:
     _evaluator: Callable | None = field(default=None, repr=False)
 
     def eval(self, t):
-        """The curve at time(s) t.  The first call resumes the last
-        doubling alone from its state on entering the window, the controller
-        state included, so that it integrates only the window and, by batch
-        independence, ``eval(times)`` equals ``states``."""
+        """The curve at time(s) t: the dense output of the deciding
+        doubling's steps through the window, read from the pullback batch's
+        step log, so nothing is integrated again and ``eval(times)`` equals
+        ``states``."""
         if self._evaluator is None:
             raise TiplabError(f"estimate with status {self.status!r} has no curve")
         return self._evaluator(t)
@@ -119,23 +120,6 @@ def _noise_floor(cfg: IntegratorConfig, size: float) -> float:
     return 100.0 * (cfg.abs_tol + cfg.rel_tol * size)
 
 
-def _window_leg(model: ModelSpec, wb: float, entry: tuple, cfg: IntegratorConfig) -> Callable:
-    """An evaluator of a pullback member's steps through the window, resumed
-    on its first call as a lone member from ``entry``, its (t, y, f, h_abs,
-    rejected) before its first step onto the window grid."""
-    t, y, *resume = entry
-
-    @functools.cache
-    def leg():
-        batch = Batch(model.rhs, y, t, wb, model.rate, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, record=True, resume=resume)
-        while batch.n_active:
-            batch.advance()
-        return batch.trajectory(0)
-
-    return lambda t: leg().eval(t)
-
-
 class PullbackJob:
     """One (rate, anchor) pullback estimate, built from lookback doublings.
 
@@ -143,13 +127,14 @@ class PullbackJob:
     repelling sense, whose legs step backward in time) and integrates one
     leg to the window end, sampled on ``grid`` as it crosses the window.
     Each doubling's outcome (its curve on ``grid``, or None when it escaped)
-    and its state on entering the window are kept once integrated, so
-    ``relax`` to a looser tolerance or a longer lookback reuses them:
-    ``resolve`` reads the kept outcomes in doubling order, picking up where
-    it stopped, each once per tolerance, which enters only its convergence
-    test: two successive sup gaps below ``tol * max(1, sup|curve|)``, the
-    last no larger than the one before unless it lies within the
-    integrator's noise floor ``_noise_floor``, where gaps stop falling.
+    and the ``Batch.steps`` handle to its logged steps through the window
+    are kept once integrated, so ``relax`` to a looser tolerance or a longer
+    lookback reuses them: ``resolve`` reads the kept outcomes in doubling
+    order, picking up where it stopped, each once per tolerance, which
+    enters only its convergence test: two successive sup gaps below
+    ``tol * max(1, sup|curve|)``, the last no larger than the one before
+    unless it lies within the integrator's noise floor ``_noise_floor``,
+    where gaps stop falling.
     """
 
     def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
@@ -175,7 +160,7 @@ class PullbackJob:
         self.wa, self.wb = (t_a, t_b) if sense == "attracting" else (t_b, t_a)
         self.grid = np.linspace(self.wa, self.wb, GRID_POINTS)
         self.outcomes: dict[int, np.ndarray | None] = {}
-        self._entries: dict[int, tuple | None] = {}
+        self._legs: dict[int, Callable] = {}
         self.relax(tol, max_lookback)
 
     def pending(self) -> list[int]:
@@ -186,10 +171,11 @@ class PullbackJob:
         steps time."""
         return self.wa - 2.0**k if self.sense == "attracting" else self.wa + 2.0**k
 
-    def record(self, k: int, curve: np.ndarray | None, entry: tuple | None) -> None:
-        """Keep doubling k's curve and its ``Batch.entries`` window entry."""
+    def record(self, k: int, curve: np.ndarray | None, steps: Callable) -> None:
+        """Keep doubling k's curve and the ``Batch.steps`` handle to its
+        logged steps."""
         self.outcomes[k] = curve
-        self._entries[k] = entry
+        self._legs[k] = steps
 
     def relax(self, tol: float, max_lookback: float) -> None:
         """Set the tolerance and the lookback, and start the doubling loop over."""
@@ -235,7 +221,8 @@ class PullbackJob:
         step = 1 if self.sense == "attracting" else -1  # times ascend
         evaluator = None
         if status == CONVERGED:
-            evaluator = _window_leg(self.model, self.wb, self._entries[self._prev], cfg)
+            leg = functools.cache(self._legs[self._prev])
+            evaluator = lambda t: leg().eval(t)
         frame = "comoving" if self.model.comoving is not None else "ramp"
         note = f"{frame} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
@@ -286,8 +273,8 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     batch.  A member runs from its start time to the window end as one leg
     with no step cap: error control sets each step, and the attracting
     dynamics contract that error away.  The leg is sampled onto the batch's
-    curve grid, by dense output, as its steps cross the window; its state on
-    entering the window is kept for ``PullbackEstimate.eval``.  Each job
+    curve grid, by dense output, as its steps cross the window, and the
+    batch logs those steps: ``PullbackEstimate.eval`` reads them.  Each job
     resolves in doubling order and drops its remaining members once it
     converges or escapes.  All jobs must share one model family, sense,
     window and ``cfg``.  A start state that overflows (a ramp such as
@@ -335,7 +322,7 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
             job, k = members[i]
             if job.estimate is not None:
                 continue
-            job.record(k, batch.samples.pop(i, None), batch.entries.pop(i, None))
+            job.record(k, batch.samples.pop(i, None), batch.steps(i))
             if job.resolve(cfg):
                 batch.drop(ids_of[id(job)])
         if not batch.n_active:

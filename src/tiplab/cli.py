@@ -106,7 +106,8 @@ def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = 
     ``default``.  ``kind`` converts a single number, which for ``int`` must
     be whole.  With a count ``n`` (0 for any count) the option is a list of
     numbers: a comma string is parsed, and a list or a bare number must hold
-    ``n`` numbers.  Numbers must be finite; booleans are not numbers."""
+    ``n`` numbers.  Numbers must be finite; booleans and, for a single
+    number, strings are not numbers."""
     raw = getattr(args, key.replace("-", "_"), None)
     if raw is None:
         raw = config.get("analysis", {}).get(key, default)
@@ -115,7 +116,8 @@ def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = 
     try:
         if n is None:
             vals = [kind(raw)]
-            if isinstance(raw, bool) or float(raw) != vals[0]:  # a boolean, or a fraction cut by int
+            # a boolean, a config string (flags arrive converted), or a fraction cut by int
+            if isinstance(raw, (bool, str)) or float(raw) != vals[0]:
                 raise ValueError(raw)
         elif isinstance(raw, str):
             vals = [float(v) for v in raw.split(",") if v.strip() != ""]

@@ -13,15 +13,15 @@ heuristic are those of Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980),
 and Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6; the quartic
 dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
 code path: members that are retrying, clipped at the end time or rejected
-are told apart by masks, not by branches.  A batch records the steps of all
-its members or of none, samples all of them on its one time grid, which
-ends on the end time and may run either way, as their steps cross it (a
-member may start before the grid, and a lone member resumed from its state
-on entering the grid takes the same steps), and ignores their overflow on
-the way out.  A member that starts past the escape norm, or not finite,
-stops as the batch is built.  Given a co-moving frame, a scalar member also
-stops as escaped when it leaves its own exit box, which pullbacks set where
-the flow is proven to diverge.
+are told apart by masks, not by branches.  A batch samples all its members
+on its one time grid, which ends on the end time and may run either way, as
+their steps cross it (a member may start before the grid), logs their
+accepted steps (all, or those from each member's first step onto the grid)
+for dense output, and ignores their overflow on the way out.  A member that
+starts past the escape norm, or not finite, stops as the batch is built.
+Given a co-moving frame, a scalar member also stops as escaped when it
+leaves its own exit box, which pullbacks set where the flow is proven to
+diverge.
 
 ``integrate`` is the one-member case.  It records every accepted step for a
 ``Trajectory`` with dense output, stops with status ``escaped`` when the
@@ -32,6 +32,7 @@ uncapped leg per lookback doubling, and forward probes are sampled instead.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -253,27 +254,27 @@ class Batch:
 
     ``rhs(X, T, R)`` evaluates the field at states X[n, d], times T[n] and
     rates R[n].  The constructor starts every member: member i at (t0[i],
-    x0[i]) with rate[i] (t0 and ``rate`` broadcast), from a fresh initial
-    step or from the one ``resume`` keeps; all run toward the one end time
-    t1, from one side of it, under one step cap ``max_step``.  ``advance``
-    makes one step attempt for every active member, all on one code path,
-    and returns the ids of those that stopped, whose ``(status, t, y)`` then
-    sit in ``final``, as does, from construction, a member that starts at
-    or past ``escape_norm`` or not finite.  A member stops when it reaches
-    t1 (``completed``), when its state norm reaches ``escape_norm`` or stops
-    being finite (``escaped``), or when its step underflows: below ten units
-    in the last place of t on a retry, or below ``min_step`` away from t1
-    (``step_underflow``).  With ``record`` every member keeps every accepted
-    step for ``trajectory``.  A ``grid`` ends on t1, runs forward or
+    x0[i]) with rate[i] (t0 and ``rate`` broadcast); all run toward the one
+    end time t1, from one side of it, under one step cap ``max_step``.
+    ``advance`` makes one step attempt for every active member, all on one
+    code path, and returns the ids of those that stopped, whose ``(status,
+    t, y)`` then sit in ``final``, as does, from construction, a member that
+    starts at or past ``escape_norm`` or not finite.  A member stops when it
+    reaches t1 (``completed``), when its state norm reaches ``escape_norm``
+    or stops being finite (``escaped``), or when its step underflows: below
+    ten units in the last place of t on a retry, or below ``min_step`` away
+    from t1 (``step_underflow``).  A ``grid`` ends on t1, runs forward or
     backward, and samples every member, which must start on ``grid[0]`` or
     before it as the grid runs: each accepted step from t to t_new writes
     the dense output at the grid points from t up to, not at, t_new, and the
     step that reaches t1 at all points left: the step and arithmetic
     ``Trajectory.eval`` would use.  A member takes a pool row on its first
-    step onto the grid, keeps its (t, y, f, h_abs, rejected) from just
-    before that step, as one-member arrays, in ``entries`` and, if it
-    completes, leaves its curve in ``samples``.  Only the steps that cover a
-    grid point are sampled: each member keeps the time of its next one.
+    step onto the grid and, if it completes, leaves its curve in
+    ``samples``.  Only the steps that cover a grid point are sampled: each
+    member keeps the time of its next one.  Each step attempt adds one chunk
+    to the step log, which ``trajectory`` and ``steps`` read: the accepted
+    steps of every member with ``record``, else of the members on the grid,
+    from their first step onto it.
 
     With ``frame(T, R)``, the ramp λ at times T[n] and rates R[n], a scalar
     member whose ``bounds`` row is (gain, lo, hi) also stops as ``escaped``
@@ -291,7 +292,7 @@ class Batch:
     def __init__(self, rhs, x0, t0, t1: float, rate, rtol: float, atol: float,
                  escape_norm: float = math.inf, min_step: float = 0.0,
                  max_step: float = math.inf, grid=None, record: bool = False, frame=None,
-                 bounds=(0.0, -math.inf, math.inf), resume=None):
+                 bounds=(0.0, -math.inf, math.inf)):
         x0 = np.asarray(x0, dtype=float)
         n = len(x0)
         if not n:
@@ -323,26 +324,21 @@ class Batch:
         self._next_of = np.append(self.grid, -math.inf if self._back else math.inf)
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
-        self.entries: dict[int, tuple] = {}
         # sample pool: samples by slot, and the free slots
         self._curve = np.empty((0, self._n, x0.shape[1]))
         self._free: list[int] = []
-        # each member's start and accepted steps, when recording: (t, y, K)
-        self._steps: dict[int, list[tuple]] = {
-            j: [(float(t0[j]), x0[j].copy(), None)] for j in range(n) if record}
-        if resume is None:
-            f0, h_abs = self._initial_step(x0, t0, rate)
-            rejected = np.zeros(n, dtype=bool)
-        else:
-            f0, h_abs, rejected = resume
+        # the step log, one chunk (ids, t, y, t_new, y_new, K) per advance
+        self._log: list[tuple] = []
+        f0, h_abs = self._initial_step(x0, t0, rate)
         out = ~(_norm2(x0) < escape_norm)
         for j in np.flatnonzero(out).tolist():
             self.final[j] = (ESCAPED, float(t0[j]), x0[j].copy())
         # a member takes its pool row on its first step onto the grid; with
         # no grid, its pos of 0 is _n: it samples nothing
         pos = np.zeros(n, dtype=np.intp)
-        new = (np.arange(n), t0, x0, f0, h_abs, rejected, rate, np.full(n, -1, dtype=np.intp),
-               pos, self._next_of[pos], np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3)))
+        new = (np.arange(n), t0, x0, f0, h_abs, np.zeros(n, dtype=bool), rate,
+               np.full(n, -1, dtype=np.intp), pos, self._next_of[pos],
+               np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3)))
         for name, values in zip(_MEMBER_ARRAYS, new):
             setattr(self, name, values[~out])
 
@@ -413,6 +409,10 @@ class Batch:
         sampled = ok & (passed | at_end) & (self.pos < self._n)
         if np.count_nonzero(sampled):
             self._sample(sampled.nonzero()[0], h, t_new, at_end, K)
+        logged = ok if self.record else ok & (self.slot >= 0)
+        if np.count_nonzero(logged):
+            j = logged.nonzero()[0]
+            self._log.append((self.ids[j], t[j], y[j], t_new[j], y_new[j], K[:, j]))
         # factor is >= _SAFETY when accepted, <= _SAFETY or NaN when rejected:
         # one clip grows (by at most 1 after a rejection) or shrinks the step
         cap = np.where(rej, 1.0, _MAX_FACTOR)
@@ -423,9 +423,6 @@ class Batch:
             self.t, self.y, self.f = (np.where(ok, t_new, t), np.where(okc, y_new, y),
                                       np.where(okc, K[6], f))
         self.rejected = ~ok
-        if self.record:
-            for j in np.flatnonzero(ok):
-                self._steps[int(self.ids[j])].append((t_new[j], y_new[j], K[:, j]))
 
         # An accepted step stops its member on an escape (past the escape
         # norm, or out of its exit box), else on a step underflow short of
@@ -457,9 +454,6 @@ class Batch:
                                               np.empty((more,) + self._curve.shape[1:])))
                 self._free.extend(range(old + more - 1, old - 1, -1))
             self.slot[entering] = [self._free.pop() for _ in range(len(entering))]
-            kept = [a.take(entering[:, None], axis=0)
-                    for a in (self.t, self.y, self.f, self.h_abs, self.rejected)]
-            self.entries.update(zip(self.ids[entering].tolist(), zip(*kept)))
         slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
         end = np.searchsorted(self._keys, -t_new if self._back else t_new)
         end[at_end[j]] = self._n  # the step that ends the leg takes every point left
@@ -493,12 +487,10 @@ class Batch:
             setattr(self, name, getattr(self, name).take(k, axis=0))
 
     def drop(self, ids) -> None:
-        """Remove members from the active set and forget what they kept."""
+        """Remove members from the active set and forget their samples."""
         ids = np.sort(np.asarray(list(ids), dtype=np.intp))
         for i in ids.tolist():
-            self._steps.pop(i, None)
             self.samples.pop(i, None)
-            self.entries.pop(i, None)
         if len(ids):
             # a binary search in the sorted ids, not np.isin over the active set
             k = np.searchsorted(ids, self.ids)
@@ -506,17 +498,31 @@ class Batch:
             self._free.extend(self.slot[gone & (self.slot >= 0)].tolist())
             self._compact(~gone)
 
+    def steps(self, i: int) -> Callable[[], Trajectory]:
+        """A handle that builds ``trajectory(i)`` when called, holding the
+        step log, not the batch."""
+        return functools.partial(_logged_trajectory, self._log, i, self.final[i])
+
     def trajectory(self, i: int) -> Trajectory:
-        """The recorded path of stopped member i, with dense output."""
-        status, t_end, _ = self.final[i]
-        times, states, K = zip(*self._steps.pop(i))
-        coeffs = (_coeffs(np.stack(K[1:], axis=1)) if len(K) > 1
-                  else np.empty((0, self.y.shape[1], 4)))
-        return Trajectory(
-            np.array(times), np.array(states), status,
-            underflow_time=t_end if status == STEP_UNDERFLOW else None,
-            coeffs=coeffs,
-        )
+        """Stopped member i's logged steps, with dense output: all of them
+        when the batch records, else those from its first step onto the
+        grid; with none, the one sample where it stopped."""
+        return self.steps(i)()
+
+
+def _logged_trajectory(log: list[tuple], i: int, final: tuple) -> Trajectory:
+    """Member i's steps in a step log, as a ``Trajectory`` that ends with
+    ``final``, its (status, t, y) on stopping."""
+    status, t_end, y_end = final
+    chunks = list(zip(*log))  # ids, t, y, t_new, y_new, K
+    rows = np.flatnonzero(np.concatenate(chunks[0]) == i) if log else ()
+    times, states, coeffs = np.array([t_end]), np.array([y_end]), np.empty((0, len(y_end), 4))
+    if len(rows):
+        t, y, t_new, y_new = (np.concatenate(c).take(rows, axis=0) for c in chunks[1:5])
+        times, states = np.concatenate((t[:1], t_new)), np.concatenate((y[:1], y_new))
+        coeffs = _coeffs(np.concatenate(chunks[5], axis=1).take(rows, axis=1))
+    return Trajectory(times, states, status, coeffs=coeffs,
+                      underflow_time=t_end if status == STEP_UNDERFLOW else None)
 
 
 def _zero_in(g, a: float, b: float) -> float:

@@ -99,7 +99,7 @@ def test_resolve_picks_up_where_it_stopped():
 
     late = job(1e-12)
     for k in sorted(ref.outcomes, reverse=True):
-        late.record(k, ref.outcomes[k], ref._entries[k])
+        late.record(k, ref.outcomes[k], ref._legs[k])
         assert late.resolve(cfg) == (k == 0)
     assert_same_estimate(late.estimate, ref.estimate)
 
@@ -316,35 +316,36 @@ def test_batch_refuses_what_is_not_one_integration(x0, t0, t1, grid, match):
 def test_member_starting_before_the_grid_samples_its_dense_output(name, params, starts, sense):
     # members that start 3 and 0.25 before a grid over (0, 4), forward or
     # backward, uncapped like a pullback leg: each samples, bitwise, what a
-    # lone recorded run gives on the grid, and one resumed alone from its
-    # kept window entry takes the same steps through the window
+    # lone recorded run gives on the grid, and the steps a batch that does
+    # not record logs for it, from its first step onto the grid, are the
+    # tail of the lone run's steps
     model = make_model(name, **params)
     cfg = integrator_config(model)
     x0s = np.array(starts[sense], dtype=float)
     s = 1.0 if sense == "attracting" else -1.0
     t0s, t1 = -s * np.array([3.0, 0.25]), 4.0 * s
     grid = np.linspace(0.0, t1, 201)
+    off_grid = s * np.linspace(0.013, 3.983, 37)
 
-    def run(x0, t0, **resume):
+    def run(x0, t0, record):
         batch = Batch(model.rhs, x0, t0, t1, model.rate, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, grid=grid, record=True, **resume)
+                      cfg.escape_norm, cfg.min_step, grid=grid, record=record)
         while batch.n_active:
             batch.advance()
         assert all(batch.final[i][0] == "completed" for i in range(len(x0)))
         return batch
 
-    together = run(x0s, t0s)
+    together = run(x0s, t0s, record=False)
     for i in (0, 1):
-        alone = run(x0s[i:i + 1], t0s[i])
+        alone = run(x0s[i:i + 1], t0s[i], record=True)
         traj = alone.trajectory(0)
         assert np.array_equal(together.samples[i], traj.eval(grid))
         assert np.array_equal(alone.samples[0], together.samples[i])
-        t, y, *resume = together.entries[i]
-        assert s * t[0] <= 0.0 < s * traj.times[np.searchsorted(s * traj.times, s * t[0]) + 1]
-        resumed = run(y, t, resume=resume).trajectory(0)
-        assert np.array_equal(resumed.eval(grid), together.samples[i])
-        tail = traj.times[-len(resumed.times):]
-        assert np.array_equal(resumed.times, tail)
+        window = together.trajectory(i)
+        assert s * window.times[0] <= 0.0 < s * window.times[1]
+        assert np.array_equal(window.times, traj.times[-len(window.times):])
+        assert np.array_equal(window.eval(grid), together.samples[i])
+        assert np.array_equal(window.eval(off_grid), traj.eval(off_grid))
 
 
 def test_pullback_batch_needs_one_window():
@@ -388,7 +389,7 @@ def test_pullback_member_starting_past_the_escape_norm():
     ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 1}, "attracting"),
 ])
 def test_estimate_eval_reproduces_states(name, params, sense):
-    # eval resumes the last doubling alone from its window entry; on the
+    # eval reads the deciding doubling's logged window steps; on the
     # estimate's own times it must give back the batch-sampled states
     est = estimate_pullback(make_model(name, **params), sense=sense)
     assert est.status == "converged"
@@ -396,15 +397,45 @@ def test_estimate_eval_reproduces_states(name, params, sense):
 
 
 def test_first_eval_integrates_only_the_window(monkeypatch):
-    # eval resumes from the window entry, so its first call steps through the
-    # window alone, not through the last doubling's 2**k lookback
+    # eval reads the steps the pullback batch logged through the window, so
+    # even its first call integrates nothing
     est = estimate_pullback(make_model("moving-pitchfork", mu=1.0, p=2, r=0.5))
     assert est.status == "converged"
     calls = []
     advance = Batch.advance
     monkeypatch.setattr(Batch, "advance", lambda b: calls.append(1) or advance(b))
     assert np.array_equal(est.eval(est.times), est.states)
-    assert 0 < len(calls) < 100
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name,params,sense", [
+    ("moving-sn", {"mu": 0.5, "r": 0.03}, "attracting"),
+    ("moving-sn", {"mu": 0.5, "r": 0.03}, "repelling"),
+    ("moving-cubic", {"mu": 1.0, "r": 0.1}, "attracting"),
+    ("moving-cubic", {"mu": 1.0, "r": 0.1}, "repelling"),
+    ("drift", {"r": 0.5}, "attracting"),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 1}, "attracting"),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2}, "attracting"),
+])
+def test_eval_off_the_grid_equals_a_lone_run_of_the_deciding_doubling(name, params, sense):
+    # between grid points eval is the dense output of the deciding doubling's
+    # own steps: bitwise what a lone recorded run of it gives, from its start
+    # time and anchor to the window end
+    model = make_model(name, **params)
+    cfg = integrator_config(model)
+    est = estimate_pullback(model, sense=sense)
+    assert est.status == "converged"
+    t0 = est.start_times[-1]
+    t_a, t_b = est.window
+    t1 = t_b if sense == "attracting" else t_a
+    x0 = model.anchor_state(est.anchor, np.array([[t0]]))
+    lone = Batch(model.rhs, x0, t0, t1, model.rate, cfg.rel_tol, cfg.abs_tol,
+                 cfg.escape_norm, cfg.min_step, record=True)
+    while lone.n_active:
+        lone.advance()
+    off_grid = np.linspace(t_a + 0.013, t_b - 0.017, 37)
+    assert not np.isin(off_grid, est.times).any()
+    assert np.array_equal(est.eval(off_grid), lone.trajectory(0).eval(off_grid))
 
 
 @pytest.mark.parametrize("name,params,rates", [

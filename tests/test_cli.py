@@ -286,6 +286,10 @@ class TestInvalidInput:
         (["simulate", "--model", "drift", "--set", "r=-1"], None),
         (["sweep", "--model", "drift", "--rates=-1,0.5"], None),
         (["tip", "--model", "drift", "--r-range=-1,0.5"], None),
+        (["pullback", "--model", "drift"], {"tol": "1e-6"}),
+        (["simulate", "--model", "drift"], {"samples": "3"}),
+        (["simulate", "--model", "drift"], {"t1": "2"}),
+        (["tip", "--model", "moving-sn", "--r-range", "0.02,0.2"], {"resolution": "0.01"}),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
             "integrator-type", "integrator-bool", "config-window-length", "config-x0-length",
@@ -296,7 +300,8 @@ class TestInvalidInput:
             "mu-infinite", "mu-nan", "lambda-max-nan", "degree-fraction",
             "config-samples-fraction", "config-samples-bool", "config-window-bool",
             "config-resolution-bool", "samples-zero", "drift-rate-minus-one",
-            "sweep-drift-rate-minus-one", "tip-drift-rate-minus-one"])
+            "sweep-drift-rate-minus-one", "tip-drift-rate-minus-one", "config-tol-string",
+            "config-samples-string", "config-t1-string", "config-resolution-string"])
     def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
         if analysis is not None:
             cfg = tmp_path / "cfg.json"
