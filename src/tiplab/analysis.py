@@ -536,9 +536,14 @@ class QseBranch:
 
 
 def _fd_jacobian(f, x, h=1e-6):
-    J = np.empty((x.size, x.size))
-    for j, e in enumerate(np.diag(h * np.maximum(1.0, np.abs(x)))):
-        J[:, j] = (f(x + e) - f(x - e)) / (2.0 * e[j])
+    """The central-difference Jacobian of f at x[d], stepping each x_j by
+    h·max(1, |x_j|); for x[n, d] and an f that maps rows to rows, one
+    Jacobian per row."""
+    J = np.empty(x.shape + x.shape[-1:])
+    for j in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[..., j] = h * np.maximum(1.0, np.abs(x[..., j]))
+        J[..., :, j] = (f(x + e) - f(x - e)) / (2.0 * e[..., j, None])
     return J
 
 

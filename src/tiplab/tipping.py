@@ -5,7 +5,8 @@ some anchored estimate escapes in finite time, or the number of distinct
 pullback-attracting curves drops below the model's baseline count.  The
 critical rate is then bracketed by one refinement loop on that
 qualitative predicate (a logarithmic scan, then rounds of bisection
-midpoints between neighboring rates whose verdicts differ) and classified
+midpoints and secant probes aimed by κ, the contraction rate along the
+curves, between neighboring rates whose verdicts differ) and classified
 through the co-moving frozen system on either side of the bracket.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .analysis import (  # noqa: F401  (estimate_pullback stays importable here)
     Diagnostic,
     PullbackEstimate,
     PullbackJob,
+    _fd_jacobian,
     estimate_pullback,
     forward_attraction_test,
     integrator_config,
@@ -53,7 +55,7 @@ FORWARD_HORIZON = 20.0
 FORWARD_EPS = 0.01
 
 # Log-spaced probes per decade of |r| in the scan of ``find_critical_rate``.
-_SCAN_PER_DECADE = 40
+_SCAN_PER_DECADE = 10
 
 
 @dataclass
@@ -318,12 +320,38 @@ def _scan_rates(r_range: tuple[float, float], resolution: float) -> np.ndarray:
 _ROUND_DEPTH = 3
 
 
+def _contraction(model: ModelSpec, diags: Sequence[RateDiagnostics]) -> list[float | None]:
+    """κ at each rate, the rate at which nearby solutions close in on its
+    curves: the minimum, over its converged curves, of -max Re eig of the
+    window mean (trapezoid rule over the samples) of the Jacobian, taken by
+    central differences (``_fd_jacobian``) at each sample.  For a scalar
+    model it is -(1/w)∫ ∂f/∂x dt.  None for a rate with no converged curve."""
+    curves = [(i, e) for i, d in enumerate(diags) for e in d.estimates if e.status == CONVERGED]
+    out: list[float | None] = [None] * len(diags)
+    if not curves:
+        return out
+    dim, n = model.dimension, len(curves[0][1].times)
+    t = np.concatenate([e.times for _, e in curves])
+    r = np.repeat([diags[i].rate for i, _ in curves], n)
+    jac = _fd_jacobian(lambda x: model.rhs(x, t, r),
+                       np.concatenate([e.states for _, e in curves]))
+    jac = jac.reshape(len(curves), n, dim, dim)  # [curve, sample, i, j]: ∂f_i/∂x_j
+    w = np.full(n, 1.0 / (n - 1))
+    w[[0, -1]] *= 0.5
+    mean = (jac * w[:, None, None]).sum(axis=1)
+    top = mean[:, 0, 0] if dim == 1 else np.linalg.eigvals(mean).real.max(axis=1)
+    for (i, _), kappa in zip(curves, (-top).tolist()):
+        out[i] = kappa if out[i] is None else min(out[i], kappa)
+    return out
+
+
 def _probe_rates(model: ModelSpec, rates: Sequence[float], anchors: Sequence | None,
                  window: tuple[float, float], tol: float, max_lookback: float,
-                 cfg: IntegratorConfig) -> list[bool | None]:
-    """The verdicts alone of ``_diagnose_rates``."""
-    return [d.tipped for d in
-            _diagnose_rates(model, rates, anchors, window, tol, max_lookback, cfg)]
+                 cfg: IntegratorConfig) -> list[tuple[bool | None, float | None]]:
+    """The verdict of ``_diagnose_rates`` at each rate, with its κ
+    (``_contraction``)."""
+    diags = _diagnose_rates(model, rates, anchors, window, tol, max_lookback, cfg)
+    return list(zip([d.tipped for d in diags], _contraction(model, diags)))
 
 
 def _midpoints(a: float, b: float, resolution: float, depth: int) -> list[float]:
@@ -336,6 +364,46 @@ def _midpoints(a: float, b: float, resolution: float, depth: int) -> list[float]
             *_midpoints(m, b, resolution, depth - 1)]
 
 
+def _bisection(a: float, b: float, resolution: float, undecided: list[float]) -> list[float]:
+    """The bisection probes of a disagreeing pair (a, b) of neighbouring
+    decided rates: the midpoints of its next ``_ROUND_DEPTH`` levels.  When
+    undecidable rates (``undecided``, ascending) lie inside it, they are
+    those of the cells from each end of the pair to the nearest undecidable
+    rate, down to cells of half the resolution, so that decided rates within
+    the resolution of each other can pass a lone undecidable rate."""
+    inside = undecided[bisect.bisect_right(undecided, a):bisect.bisect_left(undecided, b)]
+    if not inside:
+        return _midpoints(a, b, resolution, _ROUND_DEPTH)
+    return [*_midpoints(a, inside[0], 0.5 * resolution, _ROUND_DEPTH),
+            *_midpoints(inside[-1], b, 0.5 * resolution, _ROUND_DEPTH)]
+
+
+# κ**power is linear in r near a critical rate of each class: κ goes like
+# sqrt(r* - r) at a fold and like |r* - r| at a pitchfork.
+_SECANT_POWER = {"saddle-node": 2, "pitchfork": 1}
+
+
+def _secant(model: ModelSpec, a: float, b: float, resolution: float, decided: list[float],
+            verdicts: dict, kappas: dict) -> list[float]:
+    """The safeguarded secant probes of the disagreeing pair (a, b): r̂ ±
+    0.49·resolution, each only where it lies strictly inside the pair (0.49,
+    not 0.5, so that the two probes are nearer each other than the
+    resolution, however they round).  r̂ is the zero of the line through
+    κ**power (``_SECANT_POWER``) at the two nearest decided untipped rates
+    on the pair's untipped side.  No probe for an unclassified pair, or
+    without two such rates of known κ."""
+    power = _SECANT_POWER.get(_classify(model, a, b))
+    i = decided.index(a)
+    near = (decided[i + 1:] if verdicts[a] else decided[i::-1])[:2]
+    if power is None or len(near) < 2 or any(verdicts[r] or kappas[r] is None for r in near):
+        return []
+    (r1, r2), (q1, q2) = near, [kappas[r] ** power for r in near]
+    if q1 == q2:
+        return []
+    guess = r1 - q1 * (r2 - r1) / (q2 - q1)
+    return [r for r in (guess - 0.49 * resolution, guess + 0.49 * resolution) if a < r < b]
+
+
 def find_critical_rate(
     model: ModelSpec,
     r_range: tuple[float, float] = (1e-3, 1.0),
@@ -346,23 +414,42 @@ def find_critical_rate(
     max_lookback: float = MAX_LOOKBACK,
     cfg: IntegratorConfig | None = None,
 ) -> TippingReport:
-    """Bracket every critical rate in a range by scan + bisection.
+    """Bracket every critical rate in a range by a scan, then rounds of
+    bisection and safeguarded secant probes.
 
     One loop refines a single map of verdicts, one batch per round.  The
-    first round is the scan: 40 log-spaced rates per decade of |r| (both
-    signs when the range straddles zero).  Each later round decides the
-    undecided midpoints of the next three bisection levels of every pair
-    of neighboring decided rates whose verdicts differ and that is wider
-    than ``resolution``; undecidable rates (None) are skipped when pairing.
+    first round is the scan: 10 log-spaced rates per decade of |r| (both
+    signs when the range straddles zero).  Each later round refines every
+    pair of neighboring decided rates whose verdicts differ and that is
+    wider than ``resolution``; undecidable rates (None) are skipped when
+    pairing, so a cell of the scan whose ends agree is never split.  In
+    one batch it decides, for each such pair:
+
+    - the midpoints of its next three bisection levels; when undecidable
+      rates lie inside the pair, those of the cells from each end to the
+      nearest of them, down to half the resolution;
+    - its secant probes r̂ ± 0.49·resolution, each only where it lies
+      strictly inside the pair.  κ, the rate at which nearby solutions
+      close in on a rate's pullback curves, goes to zero at the critical
+      rate: like sqrt(r* - r) at a fold and like |r* - r| at a pitchfork.
+      So r̂ is where a line through κ² (a ``saddle-node`` pair) or κ (a
+      ``pitchfork`` pair) at the two nearest decided untipped rates on the
+      pair's untipped side reaches zero.  An ``unclassified`` pair gets no
+      secant probe.  Verdicts alone decide: κ only chooses where to probe,
+      and the bisection midpoints keep each round's narrowing at least that
+      of bisection (Brent's safeguard).
+
     The loop ends when a round adds no rate, and every such pair left is a
     bracket.  Inconclusive rates are retried with a relaxed convergence
     tolerance and a four-fold lookback before they read None.
 
-    A bracket's ``probes`` is its number of bisection levels below its
-    cell of neighboring decided scan rates; the report's is the scan's
-    size plus their sum.  A bracket is flagged when undecidable rates
-    leave it wider than ``resolution``, and the report is flagged when any
-    decided rate reads None.
+    A bracket's ``probes`` is the number of bisection levels its narrowing
+    is worth: log2 of the width of its cell of neighboring decided scan
+    rates over its own, rounded.  Without secant probes that is the number
+    of midpoints a one-at-a-time bisection decides.  The report's is the
+    scan's size plus their sum.  A bracket is flagged when undecidable
+    rates leave it wider than ``resolution``, and the report is flagged
+    when any decided rate reads None.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -375,13 +462,18 @@ def find_critical_rate(
     cfg = cfg or integrator_config(model)
 
     verdicts: dict[float, bool | None] = {}
+    kappas: dict[float, float | None] = {}
     rates = scan
     while rates:
-        verdicts.update(zip(rates, _probe_rates(model, rates, anchors, window, tol,
-                                                max_lookback, cfg)))
+        for r, (verdict, kappa) in zip(rates, _probe_rates(model, rates, anchors, window, tol,
+                                                           max_lookback, cfg)):
+            verdicts[r], kappas[r] = verdict, kappa
         decided = sorted(r for r, v in verdicts.items() if v is not None)
+        undecided = sorted(r for r, v in verdicts.items() if v is None)
         pairs = [(a, b) for a, b in zip(decided, decided[1:]) if verdicts[a] != verdicts[b]]
-        rates = [r for a, b in pairs for r in _midpoints(a, b, resolution, _ROUND_DEPTH)
+        rates = [r for a, b in pairs if b - a > resolution
+                 for r in (*_bisection(a, b, resolution, undecided),
+                           *_secant(model, a, b, resolution, decided, verdicts, kappas))
                  if r not in verdicts]
 
     cells = [r for r in scan if verdicts[r] is not None]

@@ -58,7 +58,7 @@ def test_scan_member_equals_lone_estimate(name, params, r_range, resolution, rst
             assert_same_estimate(job.estimate, alone)
             statuses.add(alone.status)
     assert "converged" in statuses
-    assert len(rates) == (61 if name == "moving-sn" else 41)
+    assert len(rates) == (16 if name == "moving-sn" else 11)
 
 
 @pytest.mark.parametrize("r,tol,max_lookback,pending,integrated", [
@@ -507,27 +507,48 @@ def sequential_report(model, r_range, resolution, decide):
 
 
 @pytest.mark.parametrize("name,params,r_range,resolution,batches", [
-    # the crit-sn benchmark's seed-0 inputs: one scan batch, two rounds
-    ("moving-sn", {"mu": 0.5}, (0.1 * 0.0625, 3.0 * 0.0625), 1e-4, 3),
+    # the crit-sn benchmark's seed-0 inputs: one scan batch, three rounds
+    ("moving-sn", {"mu": 0.5}, (0.1 * 0.0625, 3.0 * 0.0625), 1e-4, 4),
     # two mirrored brackets bisected in the same rounds
-    ("moving-cubic", {"mu": 1.0}, (-1.2, 1.2), 1e-2, 2),
+    ("moving-cubic", {"mu": 1.0}, (-1.2, 1.2), 1e-2, 3),
 ])
 def test_rounds_match_sequential_bisection(monkeypatch, name, params, r_range, resolution,
                                            batches):
+    # with κ withheld, no secant probe is made: the rounds are bisection alone
     model = make_model(name, **params)
     cfg = integrator_config(model)
     calls = []
 
-    def counted(*args):
+    def withheld(*args):
         calls.append(list(args[1]))
-        return _probe_rates(*args)
+        return [(verdict, None) for verdict, _ in _probe_rates(*args)]
 
-    monkeypatch.setattr(tipping, "_probe_rates", counted)
+    monkeypatch.setattr(tipping, "_probe_rates", withheld)
     report = find_critical_rate(model, r_range=r_range, resolution=resolution).to_dict()
     assert len(calls) == batches
     assert calls[0] == [float(r) for r in _scan_rates(r_range, resolution)]
-    decide = lambda rates: _probe_rates(model, rates, None, (0.0, 4.0), 1e-6, 4096.0, cfg)
+    decide = lambda rates: [v for v, _ in
+                            _probe_rates(model, rates, None, (0.0, 4.0), 1e-6, 4096.0, cfg)]
     assert report == sequential_report(model, r_range, resolution, decide)
+
+
+def test_secant_decides_crit_sn_in_one_round(monkeypatch):
+    # the crit-sn benchmark's seed-0 inputs: κ² is linear in r at the fold, so
+    # the round after the scan probes r̂ ± 0.49·resolution on either side of r*
+    rstar = 0.0625
+    calls, advances = [], []
+    counted = lambda *args: calls.append(list(args[1])) or _probe_rates(*args)
+    advance = Batch.advance
+    monkeypatch.setattr(tipping, "_probe_rates", counted)
+    monkeypatch.setattr(Batch, "advance", lambda b: advances.append(1) or advance(b))
+    report = find_critical_rate(make_model("moving-sn", mu=0.5),
+                                r_range=(0.1 * rstar, 3.0 * rstar), resolution=1e-4)
+    (b,) = report.brackets
+    assert len(calls) == 2
+    assert b.lower <= rstar <= b.upper and b.width <= 1e-4
+    assert abs(0.5 * (b.lower + b.upper) - rstar) < 1e-8
+    assert b.classification == "saddle-node" and not report.flagged
+    assert len(advances) <= 250
 
 
 RSTAR = 0.0625  # moving-sn at mu = 0.5
@@ -543,12 +564,13 @@ def rstar_cell(resolution=1e-3):
 
 def stubbed_search(monkeypatch, verdict, resolution=1e-3):
     """find_critical_rate on moving-sn over R_RANGE with ``verdict(r)`` in
-    place of the tipping predicate: the report and the rate batches decided."""
+    place of the tipping predicate and κ withheld, so that only bisection
+    refines: the report and the rate batches decided."""
     calls = []
 
     def stub(model, rates, *rest):
         calls.append(list(rates))
-        return [verdict(r) for r in rates]
+        return [(verdict(r), None) for r in rates]
 
     monkeypatch.setattr(tipping, "_probe_rates", stub)
     report = find_critical_rate(make_model("moving-sn", mu=0.5), r_range=R_RANGE,

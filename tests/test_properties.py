@@ -1,22 +1,24 @@
-"""Property tests against the closed forms of the model catalog."""
+"""Property tests against the closed forms of the model catalog: blow-up
+times, exit edges, QSE branches, critical-rate brackets and their classes,
+and κ, the contraction rate along the pullback attractor."""
 import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from tiplab.analysis import _exit_bounds, qse_continuation  # noqa: E402
+from tiplab.analysis import _exit_bounds, integrator_config, qse_continuation  # noqa: E402
 from tiplab.integrate import (  # noqa: E402
     ESCAPED,
     IntegratorConfig,
     integrate,
 )
-from tiplab.models import make_model, oracle_curve  # noqa: E402
-from tiplab.tipping import _classify, find_critical_rate  # noqa: E402
+from tiplab.models import _cubic_comoving_roots, make_model, oracle_curve  # noqa: E402
+from tiplab.tipping import _classify, _probe_rates, find_critical_rate  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,14 +199,15 @@ def test_moving_pitchfork_qse_branches_are_frozen_equilibria(mu, p):
                                            np.linspace(0.0, 4.0, 41))
 
 
-def _assert_own_brackets(report, rates, resolution):
-    """Each closed-form rate lies in its own narrow saddle-node bracket."""
+def _assert_own_brackets(report, rates, resolution, classification="saddle-node"):
+    """Each closed-form rate lies in its own narrow bracket of its class."""
     assert not report.flagged
     assert len(report.brackets) == len(rates)
     for r in rates:
         (b,) = [b for b in report.brackets if b.lower <= r <= b.upper]
         assert b.width <= resolution
-        assert b.classification == "saddle-node"
+        assert b.classification == classification
+        assert not b.flagged
 
 
 @settings(max_examples=6, deadline=None)
@@ -223,6 +226,62 @@ def test_moving_cubic_critical_rates(mu):
     report = find_critical_rate(make_model("moving-cubic", mu=mu),
                                 r_range=(-3.0 * rstar, 3.0 * rstar), resolution=0.01 * rstar)
     _assert_own_brackets(report, [-rstar, rstar], 0.01 * rstar)
+
+
+@settings(max_examples=3, deadline=None)
+@given(mu=st.floats(0.5, 1.5))
+def test_moving_pitchfork_critical_rate(mu):
+    report = find_critical_rate(make_model("moving-pitchfork", mu=mu, p=1),
+                                r_range=(0.3 * mu, 3.0 * mu), resolution=0.01 * mu)
+    _assert_own_brackets(report, [mu], 0.01 * mu, "pitchfork")
+
+
+def _contractions(name, rates, **params):
+    """κ of the search's probes at each rate, at its default tolerance; all
+    of the rates are untipped."""
+    m = make_model(name, **params)
+    probes = _probe_rates(m, rates, None, (0.0, 4.0), 1e-6, 4096.0, integrator_config(m))
+    assert [verdict for verdict, _ in probes] == [False] * len(rates)
+    return [kappa for _, kappa in probes]
+
+
+# κ is -g'(y) at the closed-form co-moving attractor y, which the converged
+# curve follows: several rates of one model are probed in one batch.
+fractions = st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mu=st.floats(0.25, 1.0), fracs=fractions)
+@example(mu=0.5, fracs=[0.48, 0.72, 0.88, 0.96, 0.992])  # r = 0.03 ... 0.062
+def test_moving_sn_contraction(mu, fracs):
+    rstar = mu * mu / 4.0
+    rates = [f * rstar for f in fracs]
+    for r, kappa in zip(rates, _contractions("moving-sn", rates, mu=mu)):
+        assert kappa == pytest.approx(2.0 * math.sqrt(rstar - r), rel=1e-3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mu=st.floats(0.5, 1.5), fracs=fractions)
+@example(mu=1.0, fracs=[0.5196, 0.9873])  # r = 0.2 and 0.38
+def test_moving_cubic_contraction(mu, fracs):
+    # 0 < r < r*: the top attractor, nearer its fold, contracts least
+    rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
+    rates = [f * rstar for f in fracs]
+    for r, kappa in zip(rates, _contractions("moving-cubic", rates, mu=mu)):
+        u = _cubic_comoving_roots(mu, r, rstar)[-1]
+        assert kappa == pytest.approx(3.0 * u * u - mu * mu, rel=1e-3)
+
+
+@settings(max_examples=4, deadline=None)
+@given(mu=st.floats(0.5, 1.5), p=st.sampled_from([1, 2, 3]),
+       gaps=st.lists(st.floats(0.05, 0.45), min_size=1, max_size=3))
+@example(mu=1.0, p=1, gaps=[0.05, 0.25, 0.45])
+def test_moving_pitchfork_contraction(mu, p, gaps):
+    # below r* = mu, Dg at the attractor pair has eigenvalues -1 and
+    # -2 (mu - r); r = mu - gap keeps the second one the larger
+    rates = [mu - gap for gap in gaps]
+    for gap, kappa in zip(gaps, _contractions("moving-pitchfork", rates, mu=mu, p=p)):
+        assert kappa == pytest.approx(2.0 * gap, rel=1e-3)
 
 
 # ``_classify`` reads only the closed-form co-moving equilibria, so whole

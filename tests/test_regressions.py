@@ -150,7 +150,8 @@ class TestOnePredicate:
         cfg = integrator_config(m)
         assert tipping.sweep(m, [self.R])[0]["tipped"] is False
         assert rate_diagnostics(m, r=self.R, include_forward=False).tipped is False
-        assert tipping._probe_rates(m, [self.R], None, (0.0, 4.0), 1e-8, 4096.0, cfg) == [False]
+        ((verdict, _),) = tipping._probe_rates(m, [self.R], None, (0.0, 4.0), 1e-8, 4096.0, cfg)
+        assert verdict is False
 
     def test_sweep_cli_exits_0(self, capsys):
         code = main(["sweep", "--model", "moving-sn", "--set", "mu=0.5",
@@ -299,11 +300,12 @@ class TestComovingExit:
 
     # find_critical_rate(moving-sn(mu), (0.1 r*, 3 r*), resolution 1e-4):
     # (lower, upper, the bracket's probes, the report's probes, at most this
-    # many Batch.advance calls; the run to the escape norm made 1065, 1038, 1457)
+    # many Batch.advance calls; the run to the escape norm made 1065, 1038,
+    # 1457, and bisection alone after a 40-per-decade scan 331, 322, 443)
     BRACKETS = {
-        0.25: (0.0155806951986069, 0.015635686705734005, 4, 65, 400),
-        0.5: (0.06248775531580891, 0.06254274682293602, 6, 67, 400),
-        1.0: (0.2499510212632357, 0.25000601277036283, 8, 69, 550),
+        0.25: (0.015576000022962527, 0.015674000022962528, 5, 21, 260),
+        0.5: (0.062451000161350155, 0.06254900016135015, 7, 23, 260),
+        1.0: (0.2499510000916447, 0.2500490000916447, 9, 25, 260),
     }
 
     @pytest.mark.parametrize("mu", sorted(BRACKETS))
