@@ -227,7 +227,7 @@ class PullbackJob:
         note = f"{frame} anchor {self.anchor.tolist()} ({self.sense} sense)"
         self.estimate = PullbackEstimate(
             window=tuple(self.window),
-            times=self.grid[::step],
+            times=self.grid[::step][:len(curve)],  # none when doubling 0 escaped
             states=curve[::step],
             anchor=self.anchor,
             anchor_note=note,
@@ -351,7 +351,9 @@ def estimate_pullback(
     window-restricted curves are below ``tol`` in sup norm (scaled by the
     curve magnitude when it exceeds unity) and the last is no larger than the
     one before or within the integrator's error noise floor.  The doublings
-    are integrated together as members of one batch.
+    are integrated together as members of one batch.  With no ``anchor``, the
+    model's first default one for the sense is used, and ``ValueError`` is
+    raised when it has none.
     """
     if r is not None:
         model = model.with_rate(r)
@@ -361,7 +363,7 @@ def estimate_pullback(
     if anchor is None:
         pool = model.default_anchors if sense == "attracting" else model.repeller_anchors
         if not pool:
-            raise TiplabError(f"model {model.name!r} has no default {sense} anchor")
+            raise ValueError(f"model {model.name!r} has no default {sense} anchor")
         anchor = pool[0]
     anchor = np.atleast_1d(np.asarray(anchor, dtype=float))
     job = PullbackJob(model, anchor, sense, (float(window[0]), float(window[1])), tol,

@@ -104,7 +104,7 @@ def _build_model(args, config: dict) -> ModelSpec:
 def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = None):
     """One analysis option: the flag, else ``config["analysis"][key]``, else
     ``default``.  ``kind`` converts a single number, which for ``int`` must
-    be whole.  With a count ``n`` (0 for any count) the option is a list of
+    be whole.  With a count ``n`` (0 for one or more) the option is a list of
     numbers: a comma string is parsed, and a list or a bare number must hold
     ``n`` numbers.  Numbers must be finite; booleans and, for a single
     number, strings are not numbers."""
@@ -123,13 +123,13 @@ def _opt(args, config: dict, key: str, default=None, kind=None, n: int | None = 
             vals = [float(v) for v in raw.split(",") if v.strip() != ""]
         else:
             vals = list(raw) if isinstance(raw, (list, tuple)) else [raw]
-        if (n in (None, 0, len(vals))
+        if ((len(vals) == n if n else len(vals) > 0)
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                         and math.isfinite(v) for v in vals)):
             return vals[0] if n is None else vals
     except (TypeError, ValueError, OverflowError):
         pass
-    want = (f"{n or 'comma-separated'} finite numbers" if n is not None
+    want = (f"{n or 'one or more comma-separated'} finite numbers" if n is not None
             else "a finite whole number" if kind is int else "a finite number")
     raise CliError(f"{key} expects {want}, got {raw!r}")
 

@@ -13,22 +13,23 @@ heuristic are those of Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980),
 and Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6; the quartic
 dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
 code path: members that are retrying, clipped at the end time or rejected
-are told apart by masks, not by branches.  A batch samples all its members
-on its one time grid, which ends on the end time and may run either way, as
-their steps cross it (a member may start before the grid), logs their
-accepted steps (all, or those from each member's first step onto the grid)
-for dense output, and ignores their overflow on the way out.  A member that
-starts past the escape norm, or not finite, stops as the batch is built.
+are told apart by masks, not by branches.  A batch with a time grid, which
+ends on the end time and may run either way, samples and logs for dense
+output each accepted step that ends past the grid's start (a member may
+start before it) or on the end time; one with no grid logs every accepted
+step.  Overflow on the way out is ignored.  A member that starts past the
+escape norm, or not finite, stops as the batch is built.
 Given a co-moving frame, a scalar member also stops as escaped when it
 leaves its own exit box, which pullbacks set where the flow is proven to
 diverge.
 
-``integrate`` is the one-member case.  It records every accepted step for a
-``Trajectory`` with dense output, stops with status ``escaped`` when the
-state norm reaches an escape threshold (then brackets the blow-up time), and
-with ``step_underflow`` when step control drives the step below ``min_step``
-without an escape.  Pullback legs (backward in time for a repeller), one
-uncapped leg per lookback doubling, and forward probes are sampled instead.
+``integrate`` is the one-member case, with no grid: it logs every accepted
+step for a ``Trajectory`` with dense output, stops with status ``escaped``
+when the state norm reaches an escape threshold (then brackets the blow-up
+time), and with ``step_underflow`` when step control drives the step below
+``min_step`` without an escape.  Pullback legs (backward in time for a
+repeller), one uncapped leg per lookback doubling, and forward probes are
+sampled on a grid.
 """
 from __future__ import annotations
 
@@ -245,8 +246,7 @@ class Trajectory:
 
 
 # The per-member arrays of a Batch, one entry per active member.
-_MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "rate", "slot", "pos",
-                  "next_t", "bounds")
+_MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "rate", "slot", "bounds")
 
 
 class Batch:
@@ -265,16 +265,15 @@ class Batch:
     ten units in the last place of t on a retry, or below ``min_step`` away
     from t1 (``step_underflow``).  A ``grid`` ends on t1, runs forward or
     backward, and samples every member, which must start on ``grid[0]`` or
-    before it as the grid runs: each accepted step from t to t_new writes
-    the dense output at the grid points from t up to, not at, t_new, and the
-    step that reaches t1 at all points left: the step and arithmetic
+    before it as the grid runs.  One mask keeps an accepted step from t to
+    t_new: with a grid, one that ends past ``grid[0]`` or on t1 is sampled
+    and logged; with none, every one is logged.  It writes the dense output
+    at the grid points from t up to, not at, t_new, and the step that
+    reaches t1 at all points left: the step and arithmetic
     ``Trajectory.eval`` would use.  A member takes a pool row on its first
-    step onto the grid and, if it completes, leaves its curve in
-    ``samples``.  Only the steps that cover a grid point are sampled: each
-    member keeps the time of its next one.  Each step attempt adds one chunk
-    to the step log, which ``trajectory`` and ``steps`` read: the accepted
-    steps of every member with ``record``, else of the members on the grid,
-    from their first step onto it.
+    sampled step and, if it completes, leaves its curve in ``samples``.
+    Each step attempt adds one chunk to the step log, which ``trajectory``
+    and ``steps`` read.
 
     With ``frame(T, R)``, the ramp λ at times T[n] and rates R[n], a scalar
     member whose ``bounds`` row is (gain, lo, hi) also stops as ``escaped``
@@ -291,7 +290,7 @@ class Batch:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def __init__(self, rhs, x0, t0, t1: float, rate, rtol: float, atol: float,
                  escape_norm: float = math.inf, min_step: float = 0.0,
-                 max_step: float = math.inf, grid=None, record: bool = False, frame=None,
+                 max_step: float = math.inf, grid=None, frame=None,
                  bounds=(0.0, -math.inf, math.inf)):
         x0 = np.asarray(x0, dtype=float)
         n = len(x0)
@@ -309,7 +308,6 @@ class Batch:
         self.max_step = max_step
         self.t1 = t1
         self.frame = frame
-        self.record = record
         self.grid = np.asarray([] if grid is None else grid, dtype=float)
         self._n = len(self.grid)
         # a grid that runs backward is searched by -t, on its ascending -grid
@@ -319,9 +317,6 @@ class Batch:
         if self._n and np.any((t0 < self.grid[0]) if self._back else (t0 > self.grid[0])):
             raise ValueError("every member must start on grid[0] or before it")
         self._keys = -self.grid if self._back else self.grid
-        # grid times by index, then the infinity past the grid's end: a
-        # member's next grid time at pos, which is _n once it needs no more
-        self._next_of = np.append(self.grid, -math.inf if self._back else math.inf)
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
         # sample pool: samples by slot, and the free slots
@@ -333,11 +328,9 @@ class Batch:
         out = ~(_norm2(x0) < escape_norm)
         for j in np.flatnonzero(out).tolist():
             self.final[j] = (ESCAPED, float(t0[j]), x0[j].copy())
-        # a member takes its pool row on its first step onto the grid; with
-        # no grid, its pos of 0 is _n: it samples nothing
-        pos = np.zeros(n, dtype=np.intp)
+        # a member takes its pool row on its first sampled step
         new = (np.arange(n), t0, x0, f0, h_abs, np.zeros(n, dtype=bool), rate,
-               np.full(n, -1, dtype=np.intp), pos, self._next_of[pos],
+               np.full(n, -1, dtype=np.intp),
                np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3)))
         for name, values in zip(_MEMBER_ARRAYS, new):
             setattr(self, name, values[~out])
@@ -403,15 +396,14 @@ class Batch:
         factor = _SAFETY * err_norm ** _ERR_EXP
         ok = err_norm < 1
         at_end = t_new == self.t1
-        # a step covers a grid point when it passes the next one or ends the
-        # leg; it is sampled before the member's state moves on
-        passed = (t_new < self.next_t) if self._back else (t_new > self.next_t)
-        sampled = ok & (passed | at_end) & (self.pos < self._n)
-        if np.count_nonzero(sampled):
-            self._sample(sampled.nonzero()[0], h, t_new, at_end, K)
-        logged = ok if self.record else ok & (self.slot >= 0)
-        if np.count_nonzero(logged):
-            j = logged.nonzero()[0]
+        # with a grid, an accepted step that ends past grid[0] or on t1 is
+        # sampled, before the member's state moves on, and logged; with
+        # none, every accepted step is logged
+        kept = ok & ((d * (t_new - self.grid[0]) > 0) | at_end) if self._n else ok
+        if np.count_nonzero(kept):
+            j = kept.nonzero()[0]
+            if self._n:
+                self._sample(j, h, t_new, at_end, K)
             self._log.append((self.ids[j], t[j], y[j], t_new[j], y_new[j], K[:, j]))
         # factor is >= _SAFETY when accepted, <= _SAFETY or NaN when rejected:
         # one clip grows (by at most 1 after a rejection) or shrinks the step
@@ -454,8 +446,9 @@ class Batch:
                                               np.empty((more,) + self._curve.shape[1:])))
                 self._free.extend(range(old + more - 1, old - 1, -1))
             self.slot[entering] = [self._free.pop() for _ in range(len(entering))]
-        slot, pos, t_new = self.slot[j], self.pos[j], t_new[j]
-        end = np.searchsorted(self._keys, -t_new if self._back else t_new)
+        # a step takes the grid points from t up to, not at, t_new
+        slot, span = self.slot[j], np.array((self.t[j], t_new[j]))
+        pos, end = np.searchsorted(self._keys, -span if self._back else span)
         end[at_end[j]] = self._n  # the step that ends the leg takes every point left
         q = _coeffs(K.take(j, axis=1))
         n = end - pos
@@ -465,8 +458,6 @@ class Batch:
         jm = j.take(m)
         self._curve[slot.take(m), p] = _dense(q.take(m, axis=0), self.t[jm], h[jm],
                                               self.y.take(jm, axis=0), self.grid[p])
-        self.pos[j] = end
-        self.next_t[j] = self._next_of[end]
 
     def _stop(self, j: np.ndarray, status: list[str]) -> list[int]:
         """Stop active members j, with a status each."""
@@ -505,8 +496,8 @@ class Batch:
 
     def trajectory(self, i: int) -> Trajectory:
         """Stopped member i's logged steps, with dense output: all of them
-        when the batch records, else those from its first step onto the
-        grid; with none, the one sample where it stopped."""
+        with no grid, else those from its first step past ``grid[0]``; with
+        none, the one sample where it stopped."""
         return self.steps(i)()
 
 
@@ -586,20 +577,19 @@ def _escape_bracket(rhs, traj: Trajectory, cfg: IntegratorConfig):
 
 
 def integrate_members(rhs, x0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig,
-                      rate: float = 0.0, record: bool = False, grid=None) -> Batch:
+                      rate: float = 0.0, grid=None) -> Batch:
     """Integrate the members x0[i] (x0[n, d], n >= 1) of one field from t0
     to t1 (t1 != t0) as one batch, under ``cfg``'s tolerances, escape norm,
     minimum step and step cap.
 
     ``rhs`` is a ``Batch`` rhs, called with ``rate`` as R; ``grid``, which
-    runs from t0 to t1 and samples every member, and ``record`` are the
-    batch's.  Returns the stopped batch: member i's ``final``, its
-    ``samples`` on ``grid`` when it completed, or with ``record`` its
-    ``trajectory``, whose dense output ends, on an escape, where it crossed
-    ``cfg.escape_norm``.
+    runs from t0 to t1 and samples every member, is the batch's.  Returns
+    the stopped batch: member i's ``final``, its ``samples`` on ``grid``
+    when it completed, and its ``trajectory``, whose dense output ends, on
+    an escape, where it crossed ``cfg.escape_norm``.
     """
     batch = Batch(rhs, x0, t0, t1, rate, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm,
-                  cfg.min_step, cfg.max_step, grid, record)
+                  cfg.min_step, cfg.max_step, grid)
     while batch.n_active:
         batch.advance()
     return batch
@@ -632,7 +622,7 @@ def integrate(
     if t1 == t0:
         raise ValueError("t1 must differ from t0")
     rhs = _member_rhs(field)
-    traj = integrate_members(rhs, x0[None, :], t0, t1, cfg, record=True).trajectory(0)
+    traj = integrate_members(rhs, x0[None, :], t0, t1, cfg).trajectory(0)
     if traj.status == ESCAPED and len(traj.times) == 1:  # started past the escape norm
         traj.escape_bracket, traj.bracket_verified = (t0, t0), False
     elif traj.status == ESCAPED:

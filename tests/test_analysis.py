@@ -73,6 +73,17 @@ class TestEstimatePullback:
         est = estimate_pullback(m, window=(0.0, 4.0))
         assert est.status == ESCAPED_DURING_PULLBACK
 
+    def test_escape_on_the_first_doubling_leaves_no_samples(self):
+        # far past the fold, doubling 0 escapes: no curve, so no times either
+        est = estimate_pullback(make_model("moving-sn", mu=0.5, r=5.0))
+        assert est.status == ESCAPED_DURING_PULLBACK and len(est.start_times) == 1
+        assert est.times.shape == (0,) and est.states.shape == (0, 1)
+
+    @pytest.mark.parametrize("name", ["drift", "bounded-ramp-sn"])
+    def test_missing_default_repelling_anchor_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match="no default repelling anchor"):
+            estimate_pullback(make_model(name), sense="repelling")
+
     def test_eval_requires_convergence(self):
         m = make_model("moving-sn", mu=0.5, r=0.08)
         est = estimate_pullback(m, window=(0.0, 4.0))

@@ -145,7 +145,7 @@ def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
 
     def run(x0s, t0s):
         batch = Batch(model.rhs, np.array(x0s, dtype=float), t0s, t1, model.rate, cfg.rel_tol,
-                      cfg.abs_tol, cfg.escape_norm, cfg.min_step, cfg.max_step, record=True)
+                      cfg.abs_tol, cfg.escape_norm, cfg.min_step, cfg.max_step)
         while batch.n_active:
             batch.advance()
         return [batch.trajectory(i) for i in range(len(x0s))]
@@ -171,63 +171,53 @@ def test_lone_member_steps_like_a_batched_one(name, params, x0s, t1):
       "repelling": [[0.1, 0.0], [0.05, 0.05], [0.2, -0.1]]}),
 ])
 def test_sampled_curves_equal_dense_output(name, params, starts, max_step, sense):
-    # a member sampled while it steps reads, bitwise, what its recorded
-    # trajectory's dense output gives on the batch's grid: batched and alone.
-    # A step cap of 0.35 spans about 17 points of a 201-point grid over
-    # (0, 4), so one step writes several points.  The repelling sense steps
-    # backward in time, on a grid that runs from 0 down to -4.
+    # a member sampled while it steps reads, bitwise, what its logged
+    # trajectory's dense output gives on the batch's grid: batched and alone,
+    # and what a lone run with no grid gives there.  A step cap of 0.35 spans
+    # about 17 points of a 201-point grid over (0, 4), so one step writes
+    # several points.  The repelling sense steps backward in time, on a grid
+    # that runs from 0 down to -4.
     model = make_model(name, **params)
     cfg = integrator_config(model, {"max_step": max_step})
     x0s = starts[sense]
     t1 = 4.0 if sense == "attracting" else -4.0
     grid = np.linspace(0.0, t1, 201)
 
-    def run(x0s):
+    def run(x0s, grid):
         batch = Batch(model.rhs, np.array(x0s, dtype=float), 0.0, t1, model.rate, cfg.rel_tol,
-                      cfg.abs_tol, cfg.escape_norm, cfg.min_step, cfg.max_step, grid=grid,
-                      record=True)
+                      cfg.abs_tol, cfg.escape_norm, cfg.min_step, cfg.max_step, grid=grid)
         ids = range(len(x0s))
         while batch.n_active:
             batch.advance()
         assert all(batch.final[i][0] == "completed" for i in ids)
-        return [(batch.samples[i], batch.trajectory(i)) for i in ids]
+        return [(batch.samples.get(i), batch.trajectory(i)) for i in ids]
 
-    together = run(x0s)
+    together = run(x0s, grid)
     for i, (samples, traj) in enumerate(together):
         assert np.array_equal(samples, traj.eval(grid))
         assert len(traj.times) - 1 < 200  # steps span several grid points
-        ((alone, alone_traj),) = run(x0s[i:i + 1])
+        ((alone, alone_traj),) = run(x0s[i:i + 1], grid)
         assert np.array_equal(alone, alone_traj.eval(grid))
         assert np.array_equal(alone, samples)
+        ((_, full),) = run(x0s[i:i + 1], None)
+        assert np.array_equal(full.times, traj.times)
+        assert np.array_equal(samples, full.eval(grid))
 
 
-def test_sampling_skips_steps_that_cover_no_grid_point(monkeypatch):
+def test_samples_at_a_small_step_cap_equal_dense_output():
     # a step cap of 0.005 on a grid spaced 0.02 leaves most steps with no
-    # grid point; only the others are sampled, and what they write is the
-    # dense output on the grid
+    # grid point; what the others write is, bitwise, the dense output on the
+    # grid of a lone run with no grid
     model = make_model("moving-sn", mu=0.5, r=0.03)
     grid = np.linspace(0.0, 4.0, 201)
-    calls = []
-    sample = Batch._sample
-
-    def checked(batch, j, *args):
-        before = batch.pos[j].copy()
-        sample(batch, j, *args)
-        assert np.all(batch.pos[j] > before)
-        calls.append(len(j))
-
-    monkeypatch.setattr(Batch, "_sample", checked)
     x0 = np.array([[0.9], [0.6]])
-    batch = Batch(model.rhs, x0, 0.0, 4.0, model.rate, 1e-9, 1e-9, max_step=0.005, grid=grid,
-                  record=True)
+    batch = Batch(model.rhs, x0, 0.0, 4.0, model.rate, 1e-9, 1e-9, max_step=0.005, grid=grid)
     while batch.n_active:
         batch.advance()
-    steps = [len(batch.trajectory(i).times) - 1 for i in (0, 1)]
-    assert len(calls) < min(steps) and min(steps) >= 800
+    assert min(len(batch.trajectory(i).times) - 1 for i in (0, 1)) >= 800
     cfg = integrator_config(model, {"max_step": 0.005})
     for i in (0, 1):
-        alone = integrate_members(model.rhs, x0[i:i + 1], 0.0, 4.0, cfg, model.rate,
-                                  record=True).trajectory(0)
+        alone = integrate_members(model.rhs, x0[i:i + 1], 0.0, 4.0, cfg, model.rate).trajectory(0)
         assert np.array_equal(batch.samples[i], alone.eval(grid))
 
 
@@ -316,9 +306,9 @@ def test_batch_refuses_what_is_not_one_integration(x0, t0, t1, grid, match):
 def test_member_starting_before_the_grid_samples_its_dense_output(name, params, starts, sense):
     # members that start 3 and 0.25 before a grid over (0, 4), forward or
     # backward, uncapped like a pullback leg: each samples, bitwise, what a
-    # lone recorded run gives on the grid, and the steps a batch that does
-    # not record logs for it, from its first step onto the grid, are the
-    # tail of the lone run's steps
+    # lone run with no grid gives on the grid, and the steps the gridded
+    # batch logs for it, from its first step past grid[0], are the tail of
+    # the lone run's steps
     model = make_model(name, **params)
     cfg = integrator_config(model)
     x0s = np.array(starts[sense], dtype=float)
@@ -327,20 +317,19 @@ def test_member_starting_before_the_grid_samples_its_dense_output(name, params, 
     grid = np.linspace(0.0, t1, 201)
     off_grid = s * np.linspace(0.013, 3.983, 37)
 
-    def run(x0, t0, record):
+    def run(x0, t0, grid):
         batch = Batch(model.rhs, x0, t0, t1, model.rate, cfg.rel_tol, cfg.abs_tol,
-                      cfg.escape_norm, cfg.min_step, grid=grid, record=record)
+                      cfg.escape_norm, cfg.min_step, grid=grid)
         while batch.n_active:
             batch.advance()
         assert all(batch.final[i][0] == "completed" for i in range(len(x0)))
         return batch
 
-    together = run(x0s, t0s, record=False)
+    together = run(x0s, t0s, grid)
     for i in (0, 1):
-        alone = run(x0s[i:i + 1], t0s[i], record=True)
-        traj = alone.trajectory(0)
+        traj = run(x0s[i:i + 1], t0s[i], None).trajectory(0)
         assert np.array_equal(together.samples[i], traj.eval(grid))
-        assert np.array_equal(alone.samples[0], together.samples[i])
+        assert np.array_equal(run(x0s[i:i + 1], t0s[i], grid).samples[0], together.samples[i])
         window = together.trajectory(i)
         assert s * window.times[0] <= 0.0 < s * window.times[1]
         assert np.array_equal(window.times, traj.times[-len(window.times):])
@@ -419,7 +408,7 @@ def test_first_eval_integrates_only_the_window(monkeypatch):
 ])
 def test_eval_off_the_grid_equals_a_lone_run_of_the_deciding_doubling(name, params, sense):
     # between grid points eval is the dense output of the deciding doubling's
-    # own steps: bitwise what a lone recorded run of it gives, from its start
+    # own steps: bitwise what a lone run of it gives, from its start
     # time and anchor to the window end
     model = make_model(name, **params)
     cfg = integrator_config(model)
@@ -430,7 +419,7 @@ def test_eval_off_the_grid_equals_a_lone_run_of_the_deciding_doubling(name, para
     t1 = t_b if sense == "attracting" else t_a
     x0 = model.anchor_state(est.anchor, np.array([[t0]]))
     lone = Batch(model.rhs, x0, t0, t1, model.rate, cfg.rel_tol, cfg.abs_tol,
-                 cfg.escape_norm, cfg.min_step, record=True)
+                 cfg.escape_norm, cfg.min_step)
     while lone.n_active:
         lone.advance()
     off_grid = np.linspace(t_a + 0.013, t_b - 0.017, 37)

@@ -119,6 +119,14 @@ class TestPullback:
         assert np.array_equal([[float(x) for x in row[1:]] for row in rows], est.states)
 
 
+    def test_escape_on_the_first_doubling_prints_no_samples(self, capsys):
+        code, out, _ = run(capsys, "pullback", "--model", "moving-sn", "--set", "r=5",
+                           "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "escaped_during_pullback"
+        assert payload["samples"] == {"t": [], "x": []}
+
     def test_escaped_estimate_exits_1(self, capsys):
         # the repelling moving-pitchfork pullback escapes: the curve before
         # the escape prints, and the exit status says it did not converge
@@ -290,6 +298,10 @@ class TestInvalidInput:
         (["simulate", "--model", "drift"], {"samples": "3"}),
         (["simulate", "--model", "drift"], {"t1": "2"}),
         (["tip", "--model", "moving-sn", "--r-range", "0.02,0.2"], {"resolution": "0.01"}),
+        (["sweep", "--model", "moving-sn", "--rates", ","], None),
+        (["sweep", "--model", "moving-sn"], {"rates": []}),
+        (["pullback", "--model", "drift", "--sense", "repelling"], None),
+        (["pullback", "--model", "bounded-ramp-sn", "--sense", "repelling"], None),
     ], ids=["pullback-window", "tip-window", "sweep-window", "tip-r-range-order",
             "tip-r-range-narrow", "samples", "integrator-value", "integrator-key",
             "integrator-type", "integrator-bool", "config-window-length", "config-x0-length",
@@ -301,7 +313,9 @@ class TestInvalidInput:
             "config-samples-fraction", "config-samples-bool", "config-window-bool",
             "config-resolution-bool", "samples-zero", "drift-rate-minus-one",
             "sweep-drift-rate-minus-one", "tip-drift-rate-minus-one", "config-tol-string",
-            "config-samples-string", "config-t1-string", "config-resolution-string"])
+            "config-samples-string", "config-t1-string", "config-resolution-string",
+            "rates-empty", "config-rates-empty", "drift-no-repelling-anchor",
+            "bounded-no-repelling-anchor"])
     def test_exit_2_with_error_line(self, capsys, tmp_path, argv, analysis):
         if analysis is not None:
             cfg = tmp_path / "cfg.json"

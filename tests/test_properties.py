@@ -1,6 +1,7 @@
 """Property tests against the closed forms of the model catalog: blow-up
 times, exit edges, QSE branches, critical-rate brackets and their classes,
-and κ, the contraction rate along the pullback attractor."""
+and κ, the contraction rate along the pullback attractor; and of a gridded
+batch against lone runs with no grid."""
 import math
 
 import pytest
@@ -14,6 +15,7 @@ import numpy as np  # noqa: E402
 from tiplab.analysis import _exit_bounds, integrator_config, qse_continuation  # noqa: E402
 from tiplab.integrate import (  # noqa: E402
     ESCAPED,
+    Batch,
     IntegratorConfig,
     integrate,
 )
@@ -310,3 +312,50 @@ def test_fold_brackets_are_classified_saddle_node(mu, frac):
 def test_models_without_a_fold_are_unclassified(lo, width):
     for m in (make_model("drift"), make_model("bounded-ramp-sn")):
         assert _classify(m, lo, lo + width) == "unclassified"
+
+
+# A batch with a grid samples and logs each accepted step that ends past
+# grid[0] or on t1.  Members start up to 8 before the grid, forward in time
+# on the attracting anchor or backward on the repelling one (the planar
+# pitchfork has none: it starts at the origin), under step caps from 0.005
+# (several steps per grid point) to none.
+_SAMPLING_CASES = {
+    "moving-sn": ({"mu": 0.5, "r": 0.03}, [0.5], [0.0]),
+    "moving-pitchfork": ({"mu": 1.0, "r": 0.5, "p": 2}, [1.0, 1.0], [0.0, 0.0]),
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(sorted(_SAMPLING_CASES)), forward=st.booleans(),
+       offsets=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=3),
+       max_step=st.floats(0.005, 2.0) | st.just(math.inf))
+@example(name="moving-sn", forward=False, offsets=[0.0, 0.25], max_step=0.005)
+def test_gridded_member_samples_and_logs_what_a_lone_run_gives(name, forward, offsets,
+                                                               max_step):
+    params, attracting, repelling = _SAMPLING_CASES[name]
+    m = make_model(name, **params)
+    cfg = integrator_config(m)
+    s = 1.0 if forward else -1.0
+    t1 = 4.0 * s
+    grid = np.linspace(0.0, t1, 201)
+    t0 = -s * np.array(offsets)
+    x0 = m.anchor_state(np.array(attracting if forward else repelling), t0[:, None])
+
+    def run(x0, t0, grid):
+        batch = Batch(m.rhs, x0, t0, t1, m.rate, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm,
+                      cfg.min_step, max_step, grid)
+        while batch.n_active:
+            batch.advance()
+        return batch
+
+    together = run(x0, t0, grid)
+    for i in range(len(offsets)):
+        lone = run(x0[i:i + 1], t0[i], None)
+        assert lone.final[0][0] == together.final[i][0] == "completed"
+        full, window = lone.trajectory(0), together.trajectory(i)
+        assert np.array_equal(together.samples[i], full.eval(grid))
+        assert s * window.times[0] <= 0.0 < s * window.times[1]
+        k = len(full.times) - len(window.times)
+        assert np.array_equal(window.times, full.times[k:])
+        assert np.array_equal(window.states, full.states[k:])
+        assert np.array_equal(window.coeffs, full.coeffs[k:])
