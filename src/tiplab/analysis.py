@@ -125,7 +125,7 @@ class PullbackJob:
 
     Doubling k starts ``2**k`` before the window start (after it, in the
     repelling sense, whose legs step backward in time) and integrates one
-    leg to the window end, sampled on ``grid`` as it crosses the window.
+    leg to the window end, sampled on ``grid`` when it completes.
     Each doubling's outcome (its curve on ``grid``, or None when it escaped)
     and the ``Batch.steps`` handle to its logged steps through the window
     are kept once integrated, so ``relax`` to a looser tolerance or a longer
@@ -272,13 +272,14 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     Every (job, doubling) pair is one member of a single Dormand–Prince
     batch.  A member runs from its start time to the window end as one leg
     with no step cap: error control sets each step, and the attracting
-    dynamics contract that error away.  The leg is sampled onto the batch's
-    curve grid, by dense output, as its steps cross the window, and the
-    batch logs those steps: ``PullbackEstimate.eval`` reads them.  Each job
-    resolves in doubling order and drops its remaining members once it
-    converges or escapes.  All jobs must share one model family, sense,
-    window and ``cfg``.  A start state that overflows (a ramp such as
-    exp(rt) far out) is infinite, and its member stops as escaped at start.
+    dynamics contract that error away.  The batch logs the leg's steps
+    through the window and, when the leg completes, writes its curve on the
+    batch's grid from them by dense output; ``PullbackEstimate.eval`` reads
+    the same steps.  Each job resolves in doubling order, and the jobs that
+    converge or escape in one batch step drop their remaining members at
+    once.  All jobs must share one model family, sense, window and ``cfg``.
+    A start state that overflows (a ramp such as exp(rt) far out) is
+    infinite, and its member stops as escaped at start.
 
     A member escapes when its norm reaches ``cfg.escape_norm`` or, for a
     scalar model with a co-moving frame, once its co-moving state y = x -
@@ -318,13 +319,16 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
                   cfg.min_step, grid=first.grid, frame=frame, bounds=bounds)
     stopped = list(batch.final)
     while True:
+        resolved = []
         for i in stopped:
             job, k = members[i]
             if job.estimate is not None:
                 continue
             job.record(k, batch.samples.pop(i, None), batch.steps(i))
             if job.resolve(cfg):
-                batch.drop(ids_of[id(job)])
+                resolved += ids_of[id(job)]
+        if resolved:
+            batch.drop(resolved)
         if not batch.n_active:
             break
         stopped = batch.advance()

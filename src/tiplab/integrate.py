@@ -14,10 +14,11 @@ and Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6; the quartic
 dense output is Shampine's, *Math. Comp.* 46 (1986).  Every step runs one
 code path: members that are retrying, clipped at the end time or rejected
 are told apart by masks, not by branches.  A batch with a time grid, which
-ends on the end time and may run either way, samples and logs for dense
-output each accepted step that ends past the grid's start (a member may
-start before it) or on the end time; one with no grid logs every accepted
-step.  Overflow on the way out is ignored.  A member that starts past the
+ends on the end time and runs the batch's way, logs for dense output each
+accepted step that ends past the grid's start (a member may start before
+it) or on the end time, and writes a member's curve on the grid from its
+logged steps when it completes; one with no grid logs every accepted step.
+Overflow on the way out is ignored.  A member that starts past the
 escape norm, or not finite, stops as the batch is built.
 Given a co-moving frame, a scalar member also stops as escaped when it
 leaves its own exit box, which pullbacks set where the flow is proven to
@@ -88,10 +89,10 @@ _ERR_EXP = -1.0 / 5.0
 
 # A step's running sums: row i < 5 feeds stage i + 1, row 5 is the 5th-order
 # sum, row 6 the error sum.  A stage's nonzero weights cover one run of rows,
-# (rows, weights[m, 1, 1]) in _STAGE_ROWS, into which it adds (stage 0 is
+# (rows, weights[m, 1]) in _STAGE_ROWS, into which it adds (stage 0 is
 # assigned, so -0.0 survives); the zeros of _B and _E are skipped.
 _SUMS = np.array([a + (0.0,) * (7 - len(a)) for a in _A[1:]] + [_B + (0.0,), _E])
-_STAGE_ROWS = [(slice(i[0], i[-1] + 1), w[i[0]:i[-1] + 1, None, None])
+_STAGE_ROWS = [(slice(i[0], i[-1] + 1), w[i[0]:i[-1] + 1, None])
                for w in _SUMS.T for i in [np.flatnonzero(w)]]
 # Column 0 of _P is stage 0 alone, with weight 1; columns 1-3 share their
 # nonzero stages, so one accumulation gives all three.
@@ -246,7 +247,45 @@ class Trajectory:
 
 
 # The per-member arrays of a Batch, one entry per active member.
-_MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "rate", "slot", "bounds")
+_MEMBER_ARRAYS = ("ids", "t", "y", "f", "h_abs", "rejected", "rate", "bounds")
+
+
+class _StepLog:
+    """Logged steps in the order they were accepted, one row each: member
+    id (of ``members``), t, y, t_new, y_new and stages K[·, 7, d], in arrays
+    that grow by doubling and are filled in place."""
+
+    def __init__(self, members: int, d: int):
+        self.members = members
+        self.n = 0
+        self.cols = [np.empty((0,) + shape, dtype=dtype) for shape, dtype in
+                     (((), np.intp), ((), float), ((d,), float), ((), float), ((d,), float),
+                      ((7, d), float))]
+
+    def append(self, *cols) -> None:
+        n, m = self.n, self.n + len(cols[0])
+        if m > len(self.cols[0]):
+            cap = max(2 * len(self.cols[0]), m)
+            grown = [np.empty((cap,) + c.shape[1:], c.dtype) for c in self.cols]
+            for g, c in zip(grown, self.cols):
+                g[:n] = c[:n]  # the rest is not written, so not yet resident
+            self.cols = grown
+        for c, v in zip(self.cols, cols):
+            c[n:m] = v
+        self.n = m
+
+    def rows(self, ids: list[int]) -> list[np.ndarray]:
+        """The columns of the logged steps of members ``ids``: member by
+        member in ascending id order, each member's steps in log order."""
+        logged = self.cols[0][:self.n]
+        if len(ids) == 1:
+            rows = (logged == ids[0]).nonzero()[0]
+        else:
+            wanted = np.zeros(self.members, dtype=bool)
+            wanted[ids] = True
+            rows = wanted[logged].nonzero()[0]
+            rows = rows[np.argsort(logged[rows], kind="stable")]
+        return [c.take(rows, axis=0) for c in self.cols]
 
 
 class Batch:
@@ -263,17 +302,15 @@ class Batch:
     reaches t1 (``completed``), when its state norm reaches ``escape_norm``
     or stops being finite (``escaped``), or when its step underflows: below
     ten units in the last place of t on a retry, or below ``min_step`` away
-    from t1 (``step_underflow``).  A ``grid`` ends on t1, runs forward or
-    backward, and samples every member, which must start on ``grid[0]`` or
-    before it as the grid runs.  One mask keeps an accepted step from t to
-    t_new: with a grid, one that ends past ``grid[0]`` or on t1 is sampled
-    and logged; with none, every one is logged.  It writes the dense output
-    at the grid points from t up to, not at, t_new, and the step that
-    reaches t1 at all points left: the step and arithmetic
-    ``Trajectory.eval`` would use.  A member takes a pool row on its first
-    sampled step and, if it completes, leaves its curve in ``samples``.
-    Each step attempt adds one chunk to the step log, which ``trajectory``
-    and ``steps`` read.
+    from t1 (``step_underflow``).  A ``grid`` ends on t1, runs the batch's
+    way, and samples every member, which must start on ``grid[0]`` or
+    before it.  One mask keeps an accepted step from t to t_new for the
+    step log, which ``trajectory`` and ``steps`` read: with a grid, one that
+    ends past ``grid[0]`` or on t1; with none, every one.  When a member
+    completes on a grid, its curve in ``samples`` is written from its logged
+    steps: each step gives the dense output at the grid points from t up
+    to, not at, t_new, and the step that reaches t1 at all points left: the
+    step and arithmetic ``Trajectory.eval`` would use.
 
     With ``frame(T, R)``, the ramp λ at times T[n] and rates R[n], a scalar
     member whose ``bounds`` row is (gain, lo, hi) also stops as ``escaped``
@@ -308,29 +345,27 @@ class Batch:
         self.max_step = max_step
         self.t1 = t1
         self.frame = frame
+        # the direction's ufuncs: the clip at t1 and "past" a time
+        self._back = self.direction < 0
+        self._clip, self._past = (np.maximum, np.less) if self._back else (np.minimum, np.greater)
         self.grid = np.asarray([] if grid is None else grid, dtype=float)
         self._n = len(self.grid)
-        # a grid that runs backward is searched by -t, on its ascending -grid
-        self._back = self._n > 0 and self.grid[-1] < self.grid[0]
         if self._n and self.grid[-1] != t1:
             raise ValueError("the grid must end on t1")
-        if self._n and np.any((t0 < self.grid[0]) if self._back else (t0 > self.grid[0])):
-            raise ValueError("every member must start on grid[0] or before it")
+        if self._n and (np.any(self._past(t0, self.grid[0])) or self._past(self.grid[0], t1)):
+            raise ValueError("every member must start on grid[0] or before it, "
+                             "and grid[0] must not lie past t1")
+        # a grid that runs backward is searched by -t, on its ascending -grid
         self._keys = -self.grid if self._back else self.grid
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}
         self.samples: dict[int, np.ndarray] = {}
-        # sample pool: samples by slot, and the free slots
-        self._curve = np.empty((0, self._n, x0.shape[1]))
-        self._free: list[int] = []
-        # the step log, one chunk (ids, t, y, t_new, y_new, K) per advance
-        self._log: list[tuple] = []
+        self._log = _StepLog(n, x0.shape[1])
+        self._retrying = False
         f0, h_abs = self._initial_step(x0, t0, rate)
         out = ~(_norm2(x0) < escape_norm)
         for j in np.flatnonzero(out).tolist():
             self.final[j] = (ESCAPED, float(t0[j]), x0[j].copy())
-        # a member takes its pool row on its first sampled step
         new = (np.arange(n), t0, x0, f0, h_abs, np.zeros(n, dtype=bool), rate,
-               np.full(n, -1, dtype=np.intp),
                np.broadcast_to(np.asarray(bounds, dtype=float), (n, 3)))
         for name, values in zip(_MEMBER_ARRAYS, new):
             setattr(self, name, values[~out])
@@ -361,19 +396,22 @@ class Batch:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def advance(self) -> list[int]:
         """One step attempt for every active member; returns stopped ids."""
-        t, y, f, d, rej = self.t, self.y, self.f, self.direction, self.rejected
+        t, y, f, d = self.t, self.y, self.f, self.direction
         # a retry keeps its shrunk step, and fails once that is below ten
         # units in the last place of t toward t1 (not yet reached)
         min_step = 10 * np.abs(np.nextafter(t, self.t1) - t)
-        h_abs = np.where(rej, self.h_abs,
-                         np.minimum(np.maximum(self.h_abs, min_step), self.max_step))
-        fail = rej & (h_abs < min_step)
-        if np.count_nonzero(fail):
-            j = fail.nonzero()[0]
-            return self._stop(j, [STEP_UNDERFLOW] * len(j))
+        h_abs = np.maximum(self.h_abs, min_step)
+        if self.max_step < math.inf:
+            h_abs = np.minimum(h_abs, self.max_step)
+        if self._retrying:
+            rej = self.rejected
+            h_abs = np.where(rej, self.h_abs, h_abs)
+            fail = rej & (h_abs < min_step)
+            if np.count_nonzero(fail):
+                j = fail.nonzero()[0]
+                return self._stop(j, [STEP_UNDERFLOW] * len(j))
 
-        t_new = t + h_abs * d
-        t_new = np.where(d * (t_new - self.t1) > 0, self.t1, t_new)
+        t_new = self._clip(self.t1, t + h_abs * d)  # a tie keeps t_new
         h = t_new - t
         h_abs = np.abs(h)
         H = h[:, None]
@@ -381,14 +419,16 @@ class Batch:
         T = t + np.multiply.outer(_C, h)
         K = np.empty((7,) + y.shape)
         S = np.empty_like(K)
+        K2, S2 = K.reshape(7, -1), S.reshape(7, -1)
         # each stage, once evaluated, is weighted into the sums it feeds
         K[0] = f
-        np.multiply(_STAGE_ROWS[0][1], f, out=S)
+        np.multiply(_STAGE_ROWS[0][1], K2[0], out=S2)
         for j in range(1, 7):
             Y = y + S[j - 1] * H
             K[j] = self.rhs(Y, T[j], R)
             rows, w = _STAGE_ROWS[j]
-            S[rows] += w * K[j]
+            sums = S2[rows]  # a view, added into in place
+            sums += w * K2[j]
         y_new = Y
         err = S[6] * H
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
@@ -397,24 +437,23 @@ class Batch:
         ok = err_norm < 1
         at_end = t_new == self.t1
         # with a grid, an accepted step that ends past grid[0] or on t1 is
-        # sampled, before the member's state moves on, and logged; with
-        # none, every accepted step is logged
-        kept = ok & ((d * (t_new - self.grid[0]) > 0) | at_end) if self._n else ok
+        # logged; with none, every accepted step is
+        kept = ok & (self._past(t_new, self.grid[0]) | at_end) if self._n else ok
         if np.count_nonzero(kept):
             j = kept.nonzero()[0]
-            if self._n:
-                self._sample(j, h, t_new, at_end, K)
-            self._log.append((self.ids[j], t[j], y[j], t_new[j], y_new[j], K[:, j]))
+            self._log.append(self.ids[j], t[j], y[j], t_new[j], y_new[j],
+                             K[:, j].swapaxes(0, 1))
         # factor is >= _SAFETY when accepted, <= _SAFETY or NaN when rejected:
         # one clip grows (by at most 1 after a rejection) or shrinks the step
-        cap = np.where(rej, 1.0, _MAX_FACTOR)
+        cap = np.where(self.rejected, 1.0, _MAX_FACTOR) if self._retrying else _MAX_FACTOR
         self.h_abs = h_abs * np.fmax(np.minimum(cap, factor), _MIN_FACTOR)
         self.t, self.y, self.f = t_new, y_new, K[6]
-        if np.count_nonzero(ok) < len(ok):  # a rejected member keeps its state
+        self._retrying = np.count_nonzero(ok) < len(ok)
+        if self._retrying:  # a rejected member keeps its state
             okc = ok[:, None]
             self.t, self.y, self.f = (np.where(ok, t_new, t), np.where(okc, y_new, y),
                                       np.where(okc, K[6], f))
-        self.rejected = ~ok
+            self.rejected = ~ok
 
         # An accepted step stops its member on an escape (past the escape
         # norm, or out of its exit box), else on a step underflow short of
@@ -433,40 +472,33 @@ class Batch:
         return self._stop(j, [ESCAPED if e else STEP_UNDERFLOW if u else COMPLETED
                               for e, u in zip(esc[j].tolist(), under[j].tolist())])
 
-    def _sample(self, j, h, t_new, at_end, K) -> None:
-        """Write the accepted steps of members j (h, t_new, at_end and K over
-        all active members, from their current state) onto the sample grid."""
-        entering = j[self.slot[j] < 0]
-        if len(entering):
-            # a pool row each, grown just enough: rows stay as few as active members
-            more = len(entering) - len(self._free)
-            if more > 0:
-                old = len(self._curve)
-                self._curve = np.concatenate((self._curve,
-                                              np.empty((more,) + self._curve.shape[1:])))
-                self._free.extend(range(old + more - 1, old - 1, -1))
-            self.slot[entering] = [self._free.pop() for _ in range(len(entering))]
-        # a step takes the grid points from t up to, not at, t_new
-        slot, span = self.slot[j], np.array((self.t[j], t_new[j]))
+    def _sample(self, done: list[int]) -> None:
+        """Write the grid curves of members ``done``, which completed, from
+        their logged steps."""
+        done = sorted(done)
+        _, t, y, t_new, _, K = self._log.rows(done)
+        # a step takes the grid points from t up to, not at, t_new, and the
+        # step that ends on t1 every point left: each member's steps, in
+        # turn, take all its grid points in order
+        span = np.array((t, t_new))
         pos, end = np.searchsorted(self._keys, -span if self._back else span)
-        end[at_end[j]] = self._n  # the step that ends the leg takes every point left
-        q = _coeffs(K.take(j, axis=1))
+        end[t_new == self.t1] = self._n
         n = end - pos
-        # row m[i] of j takes grid point p[i]: its points pos..end-1 in turn
-        m = np.arange(len(j)).repeat(n)
-        p = (pos + n - n.cumsum()).repeat(n) + np.arange(len(m))
-        jm = j.take(m)
-        self._curve[slot.take(m), p] = _dense(q.take(m, axis=0), self.t[jm], h[jm],
-                                              self.y.take(jm, axis=0), self.grid[p])
+        curves = _dense(_coeffs(K.swapaxes(0, 1)).repeat(n, axis=0), t.repeat(n),
+                        (t_new - t).repeat(n), y.repeat(n, axis=0), np.tile(self.grid, len(done)))
+        self.samples.update(zip(done, curves.reshape(len(done), self._n, -1)))
 
     def _stop(self, j: np.ndarray, status: list[str]) -> list[int]:
-        """Stop active members j, with a status each."""
-        ids, slots = self.ids[j].tolist(), self.slot[j].tolist()
+        """Stop active members j, with a status each; on a grid, write the
+        curves of those that completed."""
+        ids = self.ids[j].tolist()
         self.final.update(zip(ids, zip(status, self.t[j].tolist(), self.y.take(j, axis=0))))
-        done = [k for k, st in enumerate(status) if st == COMPLETED and slots[k] >= 0]
-        curves = self._curve.take([slots[k] for k in done], axis=0)
-        self.samples.update(zip([ids[k] for k in done], curves))
-        self._free.extend(s for s in slots if s >= 0)
+        if self._n:
+            done = [i for i, st in zip(ids, status) if st == COMPLETED]
+            # at most as many members at once as the grid has points, which
+            # bounds the evaluation's temporaries
+            for k in range(0, len(done), self._n):
+                self._sample(done[k:k + self._n])
         keep = np.ones(len(self.ids), dtype=bool)
         keep[j] = False
         self._compact(keep)
@@ -485,9 +517,7 @@ class Batch:
         if len(ids):
             # a binary search in the sorted ids, not np.isin over the active set
             k = np.searchsorted(ids, self.ids)
-            gone = ids.take(np.minimum(k, len(ids) - 1)) == self.ids
-            self._free.extend(self.slot[gone & (self.slot >= 0)].tolist())
-            self._compact(~gone)
+            self._compact(ids.take(np.minimum(k, len(ids) - 1)) != self.ids)
 
     def steps(self, i: int) -> Callable[[], Trajectory]:
         """A handle that builds ``trajectory(i)`` when called, holding the
@@ -501,17 +531,15 @@ class Batch:
         return self.steps(i)()
 
 
-def _logged_trajectory(log: list[tuple], i: int, final: tuple) -> Trajectory:
+def _logged_trajectory(log: _StepLog, i: int, final: tuple) -> Trajectory:
     """Member i's steps in a step log, as a ``Trajectory`` that ends with
     ``final``, its (status, t, y) on stopping."""
     status, t_end, y_end = final
-    chunks = list(zip(*log))  # ids, t, y, t_new, y_new, K
-    rows = np.flatnonzero(np.concatenate(chunks[0]) == i) if log else ()
+    _, t, y, t_new, y_new, K = log.rows([i])
     times, states, coeffs = np.array([t_end]), np.array([y_end]), np.empty((0, len(y_end), 4))
-    if len(rows):
-        t, y, t_new, y_new = (np.concatenate(c).take(rows, axis=0) for c in chunks[1:5])
+    if len(t):
         times, states = np.concatenate((t[:1], t_new)), np.concatenate((y[:1], y_new))
-        coeffs = _coeffs(np.concatenate(chunks[5], axis=1).take(rows, axis=1))
+        coeffs = _coeffs(K.swapaxes(0, 1))
     return Trajectory(times, states, status, coeffs=coeffs,
                       underflow_time=t_end if status == STEP_UNDERFLOW else None)
 

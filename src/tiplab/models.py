@@ -220,8 +220,7 @@ def make_drift(r: float = 0.5) -> ModelSpec:
     ramp = RampDescriptor("exponential", r)
 
     def rhs(X, T, R):
-        (x,) = X.T
-        return (ramp.value(T, R) - x)[..., None]
+        return (ramp.value(T, R) - X.T).T
 
     gamma = lambda t: math.exp(r * t) / (1.0 + r)
     comoving = ComovingDescriptor(
@@ -258,9 +257,8 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
     rstar = mu * mu / 4.0
 
     def rhs(X, T, R):
-        (x,) = X.T
-        u = x - R * T
-        return (u * (mu - u))[..., None]
+        u = X.T - R * T
+        return (u * (mu - u)).T
 
     def rho():
         d = rstar - r
@@ -333,9 +331,8 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
     rstar = 2.0 * mu**3 / (3.0 * math.sqrt(3.0))
 
     def rhs(X, T, R):
-        (x,) = X.T
-        u = x - R * T
-        return (-u * (u - mu) * (u + mu))[..., None]
+        u = X.T - R * T
+        return (-u * (u - mu) * (u + mu)).T
 
     def roots_or_raise(which):
         roots = _cubic_comoving_roots(mu, r, rstar)
@@ -501,9 +498,8 @@ def make_bounded_ramp_sn(mu: float = 0.5, r: float = 0.05, lambda_max: float | N
     ramp = RampDescriptor("bounded_tanh", r, scale=lambda_max)
 
     def rhs(X, T, R):
-        (x,) = X.T
-        u = x - ramp.value(T, R)
-        return (-u * (u - mu))[..., None]
+        u = X.T - ramp.value(T, R)
+        return (-u * (u - mu)).T
 
     return ModelSpec(
         name="bounded-ramp-sn",

@@ -266,13 +266,115 @@ def test_member_ending_on_the_grid_must_start_at_or_before_it(t0):
             Batch(model.rhs, [[0.5], [0.5]], [0.0, t0], 4.0, model.rate, 1e-9, 1e-9, grid=grid)
     else:
         batch = Batch(model.rhs, [[0.5]], t0, 4.0, model.rate, 1e-9, 1e-9, grid=grid)
-        assert len(batch._curve) == 0  # no pool row before the grid
         while batch.n_active:
             batch.advance()
         assert batch.final[0][0] == "completed"
         assert list(batch.samples) == [0]
+        assert np.array_equal(batch.samples[0], batch.trajectory(0).eval(grid))
     with pytest.raises(ValueError, match="end on t1"):
         Batch(model.rhs, [[0.5]], t0, 3.0, model.rate, 1e-9, 1e-9, grid=grid)
+
+
+@pytest.mark.parametrize("t0", [0.0, 8.0])
+def test_one_point_grid_samples_the_end_state(t0):
+    # a grid that is the single point t1 has no order of its own: forward
+    # or backward, the batch samples its member's end state there
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    batch = Batch(model.rhs, [[0.5]], t0, 4.0, model.rate, 1e-9, 1e-9, grid=[4.0])
+    while batch.n_active:
+        batch.advance()
+    assert batch.final[0][0] == "completed"
+    assert np.array_equal(batch.samples[0], batch.trajectory(0).eval([4.0]))
+
+
+@pytest.mark.parametrize("sense", ["attracting", "repelling"])
+@pytest.mark.parametrize("name,params,starts", [
+    ("moving-sn", {"mu": 0.5, "r": 0.03},
+     {"attracting": [[0.9], [0.6], [0.75], [0.3]], "repelling": [[0.1], [-0.2], [0.3], [0.0]]}),
+    ("moving-pitchfork", {"mu": 1.0, "r": 0.5, "p": 2},
+     {"attracting": [[1.0, 0.9], [0.8, -0.9], [0.8, 1.0], [0.9, 1.0]],
+      "repelling": [[0.1, 0.0], [0.05, 0.05], [0.2, -0.1], [0.1, 0.1]]}),
+])
+def test_members_completing_in_one_advance_each_get_their_own_curve(name, params, starts,
+                                                                    sense):
+    # the first three members start together on grid[0] and, under a step
+    # cap, complete in the same advance; the fourth starts a unit earlier
+    # and, in that same advance, leaves an exit box set on its first
+    # coordinate inside the window.  Each completed member's samples are,
+    # bitwise, its trajectory's dense output on the grid; the escaped
+    # member, whose window steps are logged, has none.  A member makes one
+    # step attempt per advance whatever else is in its batch, so lone runs
+    # tell which advance each event falls on.
+    model = make_model(name, **params)
+    s = 1.0 if sense == "attracting" else -1.0
+    t1 = 4.0 * s
+    grid = np.linspace(0.0, t1, 201)
+    x0 = np.array(starts[sense], dtype=float)
+    t0 = np.array([0.0, 0.0, 0.0, -s])
+    free = (0.0, -np.inf, np.inf)
+    flat = lambda T, R: np.zeros_like(T)
+
+    def run(ids, bounds):
+        batch = Batch(model.rhs, x0[ids], t0[ids], t1, model.rate, 1e-9, 1e-9, max_step=0.05,
+                      grid=grid, frame=flat, bounds=bounds)
+        stopped, first = [], []
+        while batch.n_active:
+            stopped.append(batch.advance())
+            first.append(batch.y[0, 0] if batch.n_active else np.nan)
+        return batch, stopped, first
+
+    ends = [len(run([i], free)[1]) for i in range(3)]
+    assert len(set(ends)) == 1
+    (c,) = set(ends)  # the advance the three complete in
+    _, _, u = run([3], free)
+    assert len(u) > c
+    # an edge between the fourth member's first coordinate before and after
+    # advance c, which no earlier advance has crossed
+    edge = 0.5 * (u[c - 2] + u[c - 1])
+    up = u[c - 1] > edge
+    assert all((v > edge) != up for v in u[:c - 1])
+    box = (0.0, -np.inf, edge) if up else (0.0, edge, np.inf)
+
+    batch, stopped, _ = run([0, 1, 2, 3], np.array([free, free, free, box]))
+    assert sorted(stopped[c - 1]) == [0, 1, 2, 3]
+    assert [batch.final[i][0] for i in range(4)] == ["completed"] * 3 + ["escaped"]
+    assert 0.0 < s * batch.final[3][1] < 4.0
+    assert sorted(batch.samples) == [0, 1, 2]
+    for i in range(3):
+        assert np.array_equal(batch.samples[i], batch.trajectory(i).eval(grid))
+    assert len(batch.trajectory(3).times) > 1
+    assert not np.array_equal(batch.samples[0], batch.samples[1])
+
+
+def test_step_log_handle_survives_the_log_growing():
+    # 40 members with no grid log every accepted step; member 0, a short
+    # leg, stops early, and the handle to its steps is taken then.  The log
+    # grows through at least three doublings after that, and the handle
+    # still builds, bitwise, what member 0 gives in a batch of its own, as
+    # do the others.
+    model = make_model("moving-sn", mu=0.5, r=0.03)
+    x0 = np.linspace(0.2, 1.2, 40)[:, None]
+    t0 = np.r_[3.9, np.zeros(39)]
+
+    def run(ids):
+        return Batch(model.rhs, x0[ids], t0[ids], 4.0, model.rate, 1e-9, 1e-9, max_step=0.1)
+
+    batch = run(np.arange(40))
+    while 0 not in batch.final:
+        batch.advance()
+    handle, early = batch.steps(0), len(batch._log.cols[0])
+    while batch.n_active:
+        batch.advance()
+    assert len(batch._log.cols[0]) >= 8 * early
+    for i, traj in [(0, handle())] + [(i, batch.trajectory(i)) for i in (1, 20, 39)]:
+        lone = run([i])
+        while lone.n_active:
+            lone.advance()
+        alone = lone.trajectory(0)
+        assert traj.status == alone.status == "completed"
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.states, alone.states)
+        assert np.array_equal(traj.coeffs, alone.coeffs)
 
 
 @pytest.mark.parametrize("x0,t0,t1,grid,match", [
