@@ -248,19 +248,25 @@ def _exit_bounds(model: ModelSpec, sense: str) -> tuple[float, float, float]:
     one; -inf and inf elsewhere.
 
     Only a scalar model whose closed-form co-moving equilibria all lie
-    strictly inside the box gets finite edges.  Then g keeps one sign beyond
-    each edge, so a state past an edge where g points away moves away
+    strictly inside the box gets edges.  Then g keeps one sign beyond each
+    edge, so a state past an edge where g points away moves away
     monotonically, with no equilibrium left to approach: it diverges and is
-    never attracted.
+    never attracted.  With no equilibrium at all, g keeps one sign on the
+    whole line and the box is empty: (inf, inf) where the flow points down,
+    (-inf, -inf) where it points up, so every state lies past an edge.
     """
     cm = model.comoving
     if model.dimension != 1 or cm is None or cm.equilibria is None:
         return 0.0, -math.inf, math.inf
     ((a, b),) = cm.box
-    if not all(a < y[0] < b for y, _ in cm.equilibria()):
+    eq = cm.equilibria()
+    if not all(a < y[0] < b for y, _ in eq):
         return 0.0, -math.inf, math.inf
     s = 1.0 if sense == "attracting" else -1.0
     g = lambda y: s * float(cm.field(np.array([y]))[0])
+    if not eq:
+        edge = math.inf if g(a) < 0 else -math.inf
+        return float(cm.gain[0]), edge, edge
     off = float(cm.offset[0])
     return (float(cm.gain[0]), a + off if g(a) < 0 else -math.inf,
             b + off if g(b) > 0 else math.inf)
@@ -288,9 +294,11 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     rate lies strictly inside the box.  Beyond every equilibrium a scalar
     autonomous flow moves monotonically away and is never attracted, so
     such a member diverges: the stop saves its crawl out to the escape
-    norm.  Each rate's edges are read once from the catalog's closed forms
-    (``_exit_bounds``) and each member is checked on its own, so its result
-    still does not depend on its batch.
+    norm.  At a rate with no co-moving equilibrium the box is empty, so the
+    member stops on its first accepted step and its job escapes at
+    doubling 0.  Each rate's edges are read once from the catalog's closed
+    forms (``_exit_bounds``) and each member is checked on its own, so its
+    result still does not depend on its batch.
     """
     jobs = [job for job in jobs if not job.resolve(cfg)]
     if not jobs:
@@ -313,8 +321,10 @@ def run_pullbacks(jobs: Sequence[PullbackJob], cfg: IntegratorConfig) -> None:
     models = {job.model.rate: job.model for job in jobs}
     edges = {r: _exit_bounds(m, sense) for r, m in models.items()}
     bounds = np.array([edges[r] for r in rates.tolist()])
-    # the family's ramp kind; each member brings its rate
-    frame = model.comoving.ramp.value if np.isfinite(bounds[:, 1:]).any() else None
+    # the family's ramp kind, once any member has an edge (an empty box's
+    # edges are infinite); each member brings its rate
+    edged = (bounds[:, 1:] != (-math.inf, math.inf)).any()
+    frame = model.comoving.ramp.value if edged else None
     batch = Batch(model.rhs, x0, t0, wb, rates, cfg.rel_tol, cfg.abs_tol, cfg.escape_norm,
                   cfg.min_step, grid=first.grid, frame=frame, bounds=bounds)
     stopped = list(batch.final)

@@ -302,9 +302,9 @@ class Batch:
     reaches t1 (``completed``), when its state norm reaches ``escape_norm``
     or stops being finite (``escaped``), or when its step underflows: below
     ten units in the last place of t on a retry, or below ``min_step`` away
-    from t1 (``step_underflow``).  A ``grid`` ends on t1, runs the batch's
-    way, and samples every member, which must start on ``grid[0]`` or
-    before it.  One mask keeps an accepted step from t to t_new for the
+    from t1 (``step_underflow``).  A ``grid`` ends on t1, runs strictly the
+    batch's way, and samples every member, which must start on ``grid[0]``
+    or before it.  One mask keeps an accepted step from t to t_new for the
     step log, which ``trajectory`` and ``steps`` read: with a grid, one that
     ends past ``grid[0]`` or on t1; with none, every one.  When a member
     completes on a grid, its curve in ``samples`` is written from its logged
@@ -316,12 +316,14 @@ class Batch:
     member whose ``bounds`` row is (gain, lo, hi) also stops as ``escaped``
     on an accepted step that leaves x - gain·λ outside (lo, hi).  The caller
     keeps an edge at -inf or inf unless the flow beyond it is proven to
-    diverge (see ``analysis.run_pullbacks``); each member is checked on its
-    own, so the test does not tie it to its batch.  Members overflow on
-    their way out; the batch ignores it, so callers need no ``np.errstate``.
+    diverge (see ``analysis.run_pullbacks``); an empty box, lo = hi = inf
+    or -inf, stops its member on its first accepted step.  Each member is
+    checked on its own, so the test does not tie it to its batch.  Members
+    overflow on their way out; the batch ignores it, so callers need no
+    ``np.errstate``.
     A batch with no members, with members on both sides of t1 or at it, with
-    a grid that does not end on t1 or with a member that starts after
-    ``grid[0]`` raises ``ValueError``.
+    a grid that does not end on t1 or does not run strictly the batch's way,
+    or with a member that starts after ``grid[0]`` raises ``ValueError``.
     """
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -355,6 +357,8 @@ class Batch:
         if self._n and (np.any(self._past(t0, self.grid[0])) or self._past(self.grid[0], t1)):
             raise ValueError("every member must start on grid[0] or before it, "
                              "and grid[0] must not lie past t1")
+        if not np.all(self.direction * np.diff(self.grid) > 0):
+            raise ValueError("the grid must run strictly the batch's way")
         # a grid that runs backward is searched by -t, on its ascending -grid
         self._keys = -self.grid if self._back else self.grid
         self.final: dict[int, tuple[str, float, np.ndarray]] = {}

@@ -222,16 +222,20 @@ def test_samples_at_a_small_step_cap_equal_dense_output():
 
 
 def test_exit_box_stops_only_its_own_member():
-    # moving-sn members past the box's lower edge at r = 0.2 > r* diverge:
-    # with their exit box they stop on the first accepted step, far below the
-    # escape norm; without it they crawl on to the norm.  A member at
-    # r = 0.03 on the attractor completes.  Each ends as it does alone.
+    # moving-sn members past the box's lower edge at r = 0.05 <= r* = 0.0625
+    # diverge: with their exit box they stop on the first accepted step, far
+    # below the escape norm; without it they crawl on to the norm.  A member
+    # at r = 0.2 > r*, where the co-moving field has no equilibrium, gets an
+    # empty box and stops on its first accepted step from inside the old
+    # box.  A member at r = 0.03 on the attractor completes.  Each ends as it
+    # does alone.
     model = make_model("moving-sn", mu=0.5)
-    rates = np.array([0.2, 0.2, 0.03])
+    rates = np.array([0.05, 0.05, 0.03, 0.2])
     bounds = np.array([_exit_bounds(model.with_rate(r), "attracting") for r in rates])
     bounds[1] = (0.0, -np.inf, np.inf)
     assert bounds[0, 1] == -1.75 and bounds[2, 1] == -1.75
-    x0 = np.array([[-1.8], [-1.8], [0.5]])
+    assert tuple(bounds[3]) == (1.0, np.inf, np.inf)
+    x0 = np.array([[-1.8], [-1.8], [0.5], [0.5]])
 
     def run(ids):
         batch = Batch(model.rhs, x0[ids], 0.0, 4.0, rates[ids], 1e-9, 1e-9, escape_norm=1e6,
@@ -240,17 +244,20 @@ def test_exit_box_stops_only_its_own_member():
         while batch.n_active:
             batch.advance()
             advances += 1
-        return batch.final, advances
+        return batch, advances
 
-    together, _ = run(np.arange(3))
-    assert [together[i][0] for i in range(3)] == ["escaped", "escaped", "completed"]
-    assert abs(together[0][2][0]) < 2.0 and abs(together[1][2][0]) >= 1e6
-    for i in range(3):
+    together, _ = run(np.arange(4))
+    final = together.final
+    assert [final[i][0] for i in range(4)] == ["escaped", "escaped", "completed", "escaped"]
+    assert abs(final[0][2][0]) < 2.0 and abs(final[1][2][0]) >= 1e6
+    assert abs(final[3][2][0]) < 1.0
+    for i in (0, 3):  # one accepted step, two logged times
+        assert len(together.trajectory(i).times) == 2
+    for i in range(4):
         alone, advances = run(np.array([i]))
-        status, t, y = alone[0]
-        assert (status, t, y.tobytes()) == (together[i][0], together[i][1],
-                                            together[i][2].tobytes())
-        if i == 0:
+        status, t, y = alone.final[0]
+        assert (status, t, y.tobytes()) == (final[i][0], final[i][1], final[i][2].tobytes())
+        if i in (0, 3):
             assert advances <= 2  # the first accepted step
 
 
@@ -389,6 +396,12 @@ def test_step_log_handle_survives_the_log_growing():
     ([[0.5]], 0.0, 4.0, np.linspace(8.0, 4.0, 41), "before it"),
     # no members
     (np.empty((0, 1)), 0.0, 4.0, None, "at least one member"),
+    # a grid that turns back, or repeats a point, on its way to t1: its
+    # samples would come from the wrong steps
+    ([[0.5]], 0.0, 4.0, [0.0, 3.0, 2.0, 4.0], "strictly"),
+    ([[0.5]], 0.0, -4.0, [0.0, -3.0, -2.0, -4.0], "strictly"),
+    ([[0.5]], 0.0, 4.0, [0.0, 2.0, 2.0, 4.0], "strictly"),
+    ([[0.5]], 0.0, -4.0, [0.0, -2.0, -2.0, -4.0], "strictly"),
 ])
 def test_batch_refuses_what_is_not_one_integration(x0, t0, t1, grid, match):
     # a batch is one integration: at least one member, all toward one end

@@ -12,7 +12,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from tiplab.analysis import _exit_bounds, integrator_config, qse_continuation  # noqa: E402
+from tiplab.analysis import (  # noqa: E402
+    _exit_bounds,
+    find_roots,
+    integrator_config,
+    qse_continuation,
+)
 from tiplab.integrate import (  # noqa: E402
     ESCAPED,
     Batch,
@@ -137,11 +142,17 @@ def test_moving_sn_exit_edge_leads_to_a_blowup(mu, frac, t0, sense):
     # backward in time, where repelling pullbacks step.  There |y| >= a and
     # c = mu^2/4 - r <= a^2/16, so y moves away at a speed of at least
     # (15/16) y^2 and blows up within 16 / (15 a) time units.  A lone
-    # integration from just past the edge must escape.
+    # integration from just past the edge must escape.  Past r* there is no
+    # co-moving equilibrium, and the box is empty: every state lies past the
+    # lower edge forward in time, past the upper one backward.
     r = frac * 0.75 * mu * mu
     m = make_model("moving-sn", mu=mu, r=r)
     a = 2.0 * mu + 1.0
     gain, lo, hi = _exit_bounds(m, sense)
+    if r > mu * mu / 4.0:
+        edge = math.inf if sense == "attracting" else -math.inf
+        assert (gain, lo, hi) == (1.0, edge, edge)
+        return
     if sense == "attracting":
         assert (lo, hi) == (-a + mu / 2.0, math.inf)
         u0, t1 = lo - 1e-9, t0 + 2.0
@@ -156,6 +167,46 @@ def test_moving_sn_exit_edge_leads_to_a_blowup(mu, frac, t0, sense):
         assert traj.escape_bracket[0] - t0 <= 16.0 / (15.0 * a)
     else:
         assert t0 - traj.escape_bracket[1] <= 16.0 / (15.0 * a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.1, 2.0),
+    # r = frac * r*: past r* from frac = 1.05 on, so that the ghost is
+    # passed within a few hundred time units
+    frac=st.one_of(st.floats(0.0, 1.0), st.floats(1.05, 3.0)),
+    t0=st.floats(-10.0, 10.0),
+    sense=st.sampled_from(["attracting", "repelling"]),
+)
+@example(mu=0.5, frac=1.0, t0=0.0, sense="attracting")
+def test_moving_sn_has_no_equilibrium_exactly_past_rstar(mu, frac, t0, sense):
+    # The premise of the empty exit box: past r* = mu^2/4 the co-moving field
+    # g(y) = -(y^2 + c), c = r - r*, has no root, so a state from the default
+    # anchor y0 diverges, down forward in time or up backward, and blows up
+    # (pi/2 + s atan(y0 / sqrt c)) / sqrt c time units after its start, s the
+    # sense's time direction.  A lone integration, with no exit box, must
+    # cross the escape norm before then.
+    rstar = mu * mu / 4.0
+    r = frac * rstar
+    m = make_model("moving-sn", mu=mu, r=r)
+    cm = m.comoving
+    assert (not cm.equilibria()) == (r > rstar)
+    if not r > rstar:
+        return
+    a = 2.0 * mu + 1.0
+    assert find_roots(cm.field, [(-100.0 * a, 100.0 * a)], seeds=[[0.0]]) == []
+    s = 1.0 if sense == "attracting" else -1.0
+    anchor = (m.default_anchors if s > 0 else m.repeller_anchors)[0]
+    c = r - rstar
+    y0 = float(anchor[0])
+    t_blow = (math.pi / 2.0 + s * math.atan(y0 / math.sqrt(c))) / math.sqrt(c)
+    x0 = m.anchor_state(anchor, t0)
+    traj = integrate(m.field, x0, t0, t0 + s * (t_blow + 10.0),
+                     IntegratorConfig(escape_norm=m.escape_norm))
+    assert traj.status == ESCAPED
+    lo, hi = traj.escape_bracket
+    near = lo - t0 if s > 0 else t0 - hi
+    assert 0.0 <= near <= t_blow
 
 
 @settings(max_examples=60, deadline=None)

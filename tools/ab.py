@@ -6,10 +6,12 @@ A and B are source checkouts (each with ``src/tiplab``).  Both are imported
 into one interpreter, as the packages ``tiplab_a`` and ``tiplab_b``, and the
 workload comes from this checkout's ``bench/workloads.py``, read as it is.
 The workload's output must be identical on both trees, else the script exits
-1 before timing anything.  It then alternates calls, A-B and B-A in turn,
-and prints, per tree, the median and quartiles of each call's process time,
-and the number of calls on which B took less time than the A call it was
-paired with.
+1 before timing anything.  It prints, per tree, the ``Batch.advance`` calls
+and member-steps (active members summed over those calls) of one workload
+call, counted by wrapping the tree's ``Batch.advance`` from outside for that
+call only.  It then alternates calls, A-B and B-A in turn, and prints, per
+tree, the median and quartiles of each call's process time, and the number
+of calls on which B took less time than the A call it was paired with.
 """
 from __future__ import annotations
 
@@ -55,6 +57,26 @@ def output(result) -> str:
     return repr(result.to_dict() if hasattr(result, "to_dict") else result)
 
 
+def counts(name: str, job) -> tuple[int, int]:
+    """``Batch.advance`` calls and member-steps of one call of ``job`` on the
+    tiplab loaded as ``name``."""
+    batch = sys.modules[name + ".integrate"].Batch
+    advance = batch.advance
+    tally = [0, 0]
+
+    def counted(self):
+        tally[0] += 1
+        tally[1] += self.n_active
+        return advance(self)
+
+    batch.advance = counted
+    try:
+        job.run()
+    finally:
+        batch.advance = advance
+    return tally[0], tally[1]
+
+
 def timed(job) -> float:
     start = time.process_time()
     job.run()
@@ -86,12 +108,16 @@ def main(argv=None) -> int:
         print(f"outputs differ between A and B (B fails checks: {failed})", file=sys.stderr)
         return 1
 
+    print(f"{args.workload} seed {args.seed}: identical outputs; {args.calls} calls each")
+    for label, name, job in (("A", "tiplab_a", jobs[0]), ("B", "tiplab_b", jobs[1])):
+        calls, steps = counts(name, job)
+        print(f"{label}: {calls:,} Batch.advance calls, {steps:,} member-steps")
+
     times: list[list[float]] = [[], []]
     for i in range(args.calls):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             times[side].append(timed(jobs[side]))
     won = sum(b < a for a, b in zip(*times))
-    print(f"{args.workload} seed {args.seed}: identical outputs; {args.calls} calls each")
     print(summary("A", times[0]))
     print(summary("B", times[1]))
     print(f"B won {won} of {args.calls} calls")
