@@ -14,6 +14,7 @@ error, including any invalid option value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -349,7 +350,9 @@ def _cmd_figure(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="tiplab",
         description="Pullback attractors, QSE continuation, and critical-rate "

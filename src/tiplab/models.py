@@ -139,7 +139,11 @@ class ModelSpec:
     right-hand side, with the rate as an argument so that members at
     different rates share a batch.  It reads the components as ``X.T``, so
     it also takes one state x[d] with scalar t and r: ``field`` is the same
-    function at this model's rate.
+    function at this model's rate.  ``default_anchors`` (attracting) and
+    ``repeller_anchors`` are ``anchor_state`` offsets on the frozen stable and
+    unstable QSE where it is a constant offset from the translation; not on
+    drift, whose translation is its attractor, nor on moving-pitchfork, whose
+    QSE moves with dλ/dt.
     """
 
     name: str
@@ -250,7 +254,9 @@ def make_drift(r: float = 0.5) -> ModelSpec:
 
 
 def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
-    """dx/dt = -(x-rt)(x-rt-mu): moving saddle-node, tips at r = mu^2/4."""
+    """dx/dt = -(x-rt)(x-rt-mu): moving saddle-node, tips at r = mu^2/4.
+
+    Its anchors start on the frozen QSEs, stable x = rt + mu and unstable x = rt."""
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu}")
     ramp = RampDescriptor("linear", r)
@@ -296,8 +302,8 @@ def make_moving_sn(mu: float = 0.5, r: float = 0.03125) -> ModelSpec:
             "qse_unstable": _scalar(lambda t: r * t),
         },
         critical_rates=(rstar,),
-        default_anchors=(np.array([mu]),),
-        repeller_anchors=(np.array([0.0]),),
+        default_anchors=(np.array([mu / 2.0]),),
+        repeller_anchors=(np.array([-mu / 2.0]),),
         state_box=lambda s: [(r * s - 2.0 * mu - 1.0, r * s + 2.0 * mu + 1.0)],
     )
 
@@ -323,7 +329,8 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
 
     The co-moving frame u = x - rt has frozen roots at 0 and +/-mu; the top
     attractor and the repeller annihilate at r = +2mu^3/(3*sqrt(3)), the
-    bottom pair at the mirrored negative rate.
+    bottom pair at the mirrored negative rate.  Its anchors start on the
+    frozen QSEs x = rt ± mu (stable) and x = rt (unstable).
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu}")
@@ -382,7 +389,7 @@ def make_moving_cubic(mu: float = 1.0, r: float = 0.2) -> ModelSpec:
             "qse_unstable": _scalar(lambda t: r * t),
         },
         critical_rates=(rstar, -rstar),
-        default_anchors=(np.array([1.5 * mu]), np.array([-1.5 * mu])),
+        default_anchors=(np.array([mu]), np.array([-mu])),
         repeller_anchors=(np.array([0.0]),),
         state_box=lambda s: [(r * s - 2.0 * mu - 1.0, r * s + 2.0 * mu + 1.0)],
     )

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,3 +416,29 @@ def test_config_integer_window_matches_flag(capsys, tmp_path):
     assert by_config == by_flag
     window = json.loads(by_flag[1])["sweep"][0]["window"]
     assert window == [0.0, 2.0] and all(isinstance(t, float) for t in window)
+
+
+# main calls that share one process: two subcommands, a --set list that the
+# next call must not inherit, and a usage error followed by a good call
+IN_ONE_PROCESS = [
+    ["simulate", "--model", "moving-sn", "--set", "mu=0.3", "--set", "r=0.1",
+     "--samples", "3", "--format", "csv"],
+    ["simulate", "--model", "moving-sn", "--samples", "3", "--format", "csv"],
+    ["qse", "--model", "moving-cubic", "--s-grid", "0,1,3", "--format", "csv"],
+    ["pullback", "--model", "moving-sn", "--bogus"],
+    ["pullback", "--model", "moving-sn", "--format", "json"],
+]
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # a fixed width, so that argparse wraps its usage line alike in both
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    codes = []
+    for argv in IN_ONE_PROCESS:
+        shared = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "tiplab.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert shared == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(shared[0])
+    assert codes == [0, 0, 0, 2, 0]

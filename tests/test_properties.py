@@ -1,7 +1,8 @@
 """Property tests against the closed forms of the model catalog: blow-up
-times, exit edges, QSE branches, critical-rate brackets and their classes,
-and κ, the contraction rate along the pullback attractor; and of a gridded
-batch against lone runs with no grid."""
+times, exit edges, QSE branches, default anchors on the frozen QSE,
+critical-rate brackets and their classes, and κ, the contraction rate along
+the pullback attractor; and of a gridded batch against lone runs with no
+grid."""
 import math
 
 import pytest
@@ -250,6 +251,33 @@ def test_moving_cubic_qse_branches_are_frozen_equilibria(mu):
 def test_moving_pitchfork_qse_branches_are_frozen_equilibria(mu, p):
     _assert_branches_are_frozen_equilibria(make_model("moving-pitchfork", mu=mu, p=p),
                                            np.linspace(0.0, 4.0, 41))
+
+
+# each catalog default anchor, and each default repeller anchor, by the QSE
+# it starts on: moving-sn at rstar mu^2/4, moving-cubic at 2 mu^3/(3 sqrt 3),
+# and bounded-ramp-sn, which has no closed-form rstar, at r = frac
+_QSE_ANCHORS = {
+    "moving-sn": (lambda mu: mu * mu / 4.0, ["qse_stable+"], ["qse_unstable"]),
+    "moving-cubic": (lambda mu: 2.0 * mu**3 / (3.0 * math.sqrt(3.0)),
+                     ["qse_stable+", "qse_stable-"], ["qse_unstable"]),
+    "bounded-ramp-sn": (lambda mu: 1.0, ["qse_stable+"], []),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_QSE_ANCHORS)), mu=st.floats(0.1, 2.0),
+       frac=st.floats(-3.0, 3.0), s=st.floats(-4096.0, 0.0))
+def test_default_anchors_sit_on_the_frozen_qse(name, mu, frac, s):
+    rstar, stable, unstable = _QSE_ANCHORS[name]
+    m = make_model(name, mu=mu, r=frac * rstar(mu))
+    assert len(m.default_anchors) == len(stable)
+    assert len(m.repeller_anchors) == len(unstable)
+    for anchors, keys in ((m.default_anchors, stable), (m.repeller_anchors, unstable)):
+        for anchor, key in zip(anchors, keys):
+            exact = oracle_curve(m, key, s)
+            # relative to the terms summed, r s and mu, which may cancel
+            scale = abs(m.rate * s) + mu + np.max(np.abs(exact))
+            assert np.max(np.abs(m.anchor_state(anchor, s) - exact)) <= 1e-12 * scale
 
 
 def _assert_own_brackets(report, rates, resolution, classification="saddle-node"):
