@@ -18,6 +18,7 @@ from tiplab.analysis import (  # noqa: E402
     find_roots,
     integrator_config,
     qse_continuation,
+    run_pullbacks,
 )
 from tiplab.integrate import (  # noqa: E402
     ESCAPED,
@@ -26,7 +27,12 @@ from tiplab.integrate import (  # noqa: E402
     integrate,
 )
 from tiplab.models import _cubic_comoving_roots, make_model, oracle_curve  # noqa: E402
-from tiplab.tipping import _classify, _probe_rates, find_critical_rate  # noqa: E402
+from tiplab.tipping import (  # noqa: E402
+    _classify,
+    _probe_rates,
+    _rate_jobs,
+    find_critical_rate,
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,6 +369,40 @@ def test_moving_pitchfork_contraction(mu, p, gaps):
     rates = [mu - gap for gap in gaps]
     for gap, kappa in zip(gaps, _contractions("moving-pitchfork", rates, mu=mu, p=p)):
         assert kappa == pytest.approx(2.0 * gap, rel=1e-3)
+
+
+# the closed-form attractor each default anchor converges to, and r*
+_ATTRACTORS = {
+    "moving-sn": ({}, lambda mu: mu * mu / 4.0, ["attractor+"]),
+    "moving-cubic": ({}, lambda mu: 2.0 * mu**3 / (3.0 * math.sqrt(3.0)),
+                     ["attractor+", "attractor-"]),
+    "moving-pitchfork": ({"p": 1}, lambda mu: mu, ["attractor+", "attractor-"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_ATTRACTORS)), mu=st.floats(0.25, 1.0),
+       fracs=st.lists(st.floats(0.01, 0.999), min_size=1, max_size=4))
+@example(name="moving-sn", mu=0.5, fracs=[0.48, 0.96, 0.999])
+def test_pullbacks_stop_at_the_first_accepted_gap_on_the_attractor(name, mu, fracs):
+    # every default anchor at rates up to (1 - 1e-3) r*, in one batch: a
+    # converged estimate lies within its scaled tolerance of the oracle, and
+    # no gap before its last was below that tolerance without having risen
+    params, rstar, keys = _ATTRACTORS[name]
+    m = make_model(name, mu=mu, **params)
+    tol = 1e-6
+    jobs = _rate_jobs(m, [f * rstar(mu) for f in fracs], None, (0.0, 4.0), tol, 4096.0)
+    run_pullbacks([job for per_rate in jobs for job in per_rate], integrator_config(m))
+    for job, key in ((job, key) for per_rate in jobs for job, key in zip(per_rate, keys)):
+        est = job.estimate
+        if est.status != "converged":
+            continue
+        exact = np.vstack([oracle_curve(job.model, key, t) for t in est.times])
+        assert np.abs(est.states - exact).max() <= tol * max(1.0, np.abs(est.states).max())
+        gaps = est.convergence_gaps
+        sizes = [np.abs(job.outcomes[k]).max() for k in job.doublings[1:len(gaps) + 1]]
+        assert not any(gaps[i] < tol * max(1.0, sizes[i]) and gaps[i] <= gaps[i - 1]
+                       for i in range(1, len(gaps) - 1))
 
 
 # ``_classify`` reads only the closed-form co-moving equilibria, so whole

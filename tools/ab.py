@@ -10,7 +10,10 @@ names it and exits 1 before timing anything.  It then says whether the two
 outputs are identical and prints, per tree, the ``Batch.advance`` calls and
 member-steps (active members summed over those calls) of one workload call,
 counted by wrapping the tree's ``Batch.advance`` from outside for that call
-only.  It alternates calls, A-B and B-A in turn, and prints, per tree, the
+only, and the calls of each ``run_pullbacks`` batch of the tipping predicate
+in order: each predicate call's batch (``scan`` and ``round 1``, ``round 2``,
+... inside ``find_critical_rate``, else ``batch``), then its relaxed
+``retry``.  It alternates calls, A-B and B-A in turn, and prints, per tree, the
 median and quartiles of each call's process time, and the number of calls on
 which B took less time than the A call it was paired with.  It exits 0 when
 the outputs are identical and 1 when they differ, so a change that moves the
@@ -24,6 +27,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,24 +64,42 @@ def output(result) -> str:
     return repr(result.to_dict() if hasattr(result, "to_dict") else result)
 
 
-def counts(name: str, job) -> tuple[int, int]:
+def counts(name: str, job) -> tuple[int, int, list[str]]:
     """``Batch.advance`` calls and member-steps of one call of ``job`` on the
-    tiplab loaded as ``name``."""
+    tiplab loaded as ``name``, and the calls of each ``run_pullbacks`` batch
+    that a ``_diagnose_rates`` call makes (its batch, then its retry), each
+    labelled as the module docstring says."""
     batch = sys.modules[name + ".integrate"].Batch
-    advance = batch.advance
+    tipping = sys.modules[name + ".tipping"]
+    advance, diagnose_rates, run_pullbacks = (
+        batch.advance, tipping._diagnose_rates, tipping.run_pullbacks)
     tally = [0, 0]
+    groups: list[tuple[str, list[int]]] = []
 
     def counted(self):
         tally[0] += 1
         tally[1] += self.n_active
         return advance(self)
 
-    batch.advance = counted
-    try:
+    def diagnose(*args):
+        # find_critical_rate reaches the predicate through _probe_rates
+        rounds = sum(label != "batch" for label, _ in groups)
+        searching = sys._getframe(1).f_code.co_name == "_probe_rates"
+        groups.append(("batch" if not searching else f"round {rounds}" if rounds else "scan",
+                       []))
+        return diagnose_rates(*args)
+
+    def batched(*args):
+        before = tally[0]
+        run_pullbacks(*args)
+        groups[-1][1].append(tally[0] - before)
+
+    with mock.patch.object(batch, "advance", counted), \
+            mock.patch.object(tipping, "_diagnose_rates", diagnose), \
+            mock.patch.object(tipping, "run_pullbacks", batched):
         job.run()
-    finally:
-        batch.advance = advance
-    return tally[0], tally[1]
+    return tally[0], tally[1], [f"{label} {' + retry '.join(map(str, calls))}"
+                                for label, calls in groups]
 
 
 def timed(job) -> float:
@@ -119,8 +141,9 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: both pass the checks, "
           f"{'identical' if same else 'different'} outputs; {args.calls} calls each")
     for label, name, job in (("A", "tiplab_a", jobs[0]), ("B", "tiplab_b", jobs[1])):
-        calls, steps = counts(name, job)
-        print(f"{label}: {calls:,} Batch.advance calls, {steps:,} member-steps")
+        calls, steps, batches = counts(name, job)
+        print(f"{label}: {calls:,} Batch.advance calls, {steps:,} member-steps; "
+              f"per batch: {', '.join(batches)}")
 
     times: list[list[float]] = [[], []]
     for i in range(args.calls):
