@@ -131,11 +131,10 @@ class PullbackJob:
     are kept once integrated, so ``relax`` to a looser tolerance or a longer
     lookback reuses them: ``resolve`` reads the kept outcomes in doubling
     order, picking up where it stopped, each once per tolerance, which
-    enters only its convergence test: the first sup gap between successive
-    doublings below ``tol * max(1, sup|curve|)`` and no larger than the one
-    before, or within the noise floor ``_noise_floor`` (in effect only the
-    second gap: a later one that rose follows a smaller one already taken),
-    decides; the gap after it would measure only the integrator's noise.
+    enters only its convergence test: a sup gap below ``tol * max(1,
+    sup|curve|)`` decides within the noise floor ``_noise_floor``, or when no
+    larger than the gap before, that gap below the tolerance too or the gap
+    ratio at least squared (contraction squares it; algebraic decay does not).
     """
 
     def __init__(self, model: ModelSpec, anchor, sense: str, window: tuple[float, float],
@@ -209,10 +208,11 @@ class PullbackJob:
                 gaps.append(float(np.abs(curve - self.outcomes[prev]).max()))
                 size = float(np.abs(curve).max())
                 tol_eff = self.tol * max(1.0, size)
-                if (
-                    len(gaps) >= 2
-                    and gaps[-1] < tol_eff
-                    and (gaps[-1] <= gaps[-2] or gaps[-1] <= _noise_floor(cfg, size))
+                if len(gaps) >= 2 and gaps[-1] < tol_eff and (
+                    gaps[-1] <= _noise_floor(cfg, size)
+                    or gaps[-1] <= gaps[-2] and (
+                        gaps[-2] < tol_eff
+                        or len(gaps) >= 3 and gaps[-1] * gaps[-3] ** 2 <= gaps[-2] ** 3)
                 ):
                     status = CONVERGED
                     break
@@ -361,13 +361,12 @@ def estimate_pullback(
     repeller, stepped backward in time from the future).
 
     Start times move away as s_k = t_a - 2^k (s_k = t_b + 2^k for a repeller),
-    at most ``max_lookback`` away, until the gap between successive
-    window-restricted curves is below ``tol`` in sup norm (scaled by the
-    curve magnitude when it exceeds unity) and no larger than the gap before,
-    or within the integrator's noise floor, which in effect only the second
-    gap can reach.  The doublings are integrated together as members of one
-    batch.  With no ``anchor``, the model's first default one for the sense
-    is used, and ``ValueError`` is raised when it has none.
+    at most ``max_lookback`` away, until a sup gap between successive
+    window-restricted curves below ``tol`` (scaled by the curve magnitude when
+    it exceeds unity) decides, as ``PullbackJob`` says.  The doublings are
+    integrated together as members of one batch.  With no ``anchor``, the
+    model's first default one for the sense is used, and ``ValueError`` is
+    raised when it has none.
     """
     if r is not None:
         model = model.with_rate(r)

@@ -64,7 +64,7 @@ def test_scan_member_equals_lone_estimate(name, params, r_range, resolution, rst
 @pytest.mark.parametrize("r,tol,max_lookback,pending,integrated", [
     # a rate just below r* = 0.0625 that needs the retry: the looser
     # tolerance converges within the doublings already integrated
-    (0.0624975, 1e-6, 4096.0, [13, 14], []),
+    (0.0624965, 1e-6, 4096.0, [13, 14], []),
     # a lookback too short at first: the retry integrates two more doublings
     (0.0624, 1e-6, 64.0, [7, 8], [7, 8]),
 ])

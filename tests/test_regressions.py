@@ -176,9 +176,10 @@ class TestDeepPullback:
 
     def test_gaps_at_the_noise_floor_converge(self):
         # once converged, the curves differ only by integrator noise, which
-        # need not fall monotonically from one doubling to the next.  A later
-        # gap that rose follows a smaller gap below the tolerance, which
-        # decides first, so the floor acts only at the second gap: reached
+        # need not fall monotonically from one doubling to the next, so a gap
+        # below the tolerance within the floor decides even when it rose.  A
+        # later gap that rose follows a smaller gap within the floor, which
+        # decides first, so a rise decides only at the second gap: reached
         # here by anchoring on the closed-form attractor, where both gaps are
         # rounding, the second above the first
         model = make_model("moving-sn", mu=0.5)
@@ -188,6 +189,17 @@ class TestDeepPullback:
         gaps = est.convergence_gaps
         floor = _noise_floor(integrator_config(model), float(np.abs(est.states).max()))
         assert len(gaps) == 2 and gaps[0] < gaps[1] <= floor
+
+    def test_algebraic_decay_is_not_decided_by_one_gap(self):
+        # at r* the curves close in on the degenerate attractor algebraically:
+        # each gap is about half the one before, a constant ratio, so the
+        # last gap below the tolerance (6.1e-5 < 1e-4, on the relaxed retry's
+        # tolerance and lookback) decides nothing while the one before is not
+        est = estimate_pullback(make_model("moving-sn", mu=0.5), r=0.0625, tol=1e-4,
+                                max_lookback=16384.0)
+        assert est.status == "not_converged"
+        gaps = est.convergence_gaps
+        assert gaps[-1] < 1e-4 < gaps[-2] and 0.49 < gaps[-1] / gaps[-2] < 0.51
 
     def test_pitchfork_bracket_within_a_call_bound(self, monkeypatch):
         # the planar pitchfork's search, within a bound that fails if each

@@ -71,21 +71,27 @@ def counts(name: str, job) -> tuple[int, int, list[str]]:
     labelled as the module docstring says."""
     batch = sys.modules[name + ".integrate"].Batch
     tipping = sys.modules[name + ".tipping"]
-    advance, diagnose_rates, run_pullbacks = (
-        batch.advance, tipping._diagnose_rates, tipping.run_pullbacks)
+    advance, diagnose_rates, probe_rates, run_pullbacks = (
+        batch.advance, tipping._diagnose_rates, tipping._probe_rates, tipping.run_pullbacks)
     tally = [0, 0]
     groups: list[tuple[str, list[int]]] = []
+    searching = [False]  # inside find_critical_rate's _probe_rates
 
     def counted(self):
         tally[0] += 1
         tally[1] += self.n_active
         return advance(self)
 
+    def probe(*args):
+        searching[0] = True
+        try:
+            return probe_rates(*args)
+        finally:
+            searching[0] = False
+
     def diagnose(*args):
-        # find_critical_rate reaches the predicate through _probe_rates
         rounds = sum(label != "batch" for label, _ in groups)
-        searching = sys._getframe(1).f_code.co_name == "_probe_rates"
-        groups.append(("batch" if not searching else f"round {rounds}" if rounds else "scan",
+        groups.append(("batch" if not searching[0] else f"round {rounds}" if rounds else "scan",
                        []))
         return diagnose_rates(*args)
 
@@ -95,6 +101,7 @@ def counts(name: str, job) -> tuple[int, int, list[str]]:
         groups[-1][1].append(tally[0] - before)
 
     with mock.patch.object(batch, "advance", counted), \
+            mock.patch.object(tipping, "_probe_rates", probe), \
             mock.patch.object(tipping, "_diagnose_rates", diagnose), \
             mock.patch.object(tipping, "run_pullbacks", batched):
         job.run()
